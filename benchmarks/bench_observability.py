@@ -139,8 +139,11 @@ def span_tree() -> Dict[str, object]:
                 engine.reset_stream_cache()  # force the query back to storage
                 SPANS.clear()
                 remote.stat_range(metadata.uuid, TimeRange(0, TREE_CHUNKS * CHUNK_INTERVAL))
-                spans = SPANS.spans()
                 dump = remote.call_many([Request("trace_dump")])[0]
+    # Read the spans only once both servers have stopped: a server records
+    # its span after writing the response, so reading right after the reply
+    # could race a handler that is still finishing.
+    spans = SPANS.spans()
 
     root = next(
         span

@@ -4,23 +4,26 @@ PR 7 moved bytes efficiently *between* machines (scheduling, credits); this
 benchmark tracks how often those bytes are copied *inside* one machine.
 Before the zero-copy path, a large message was materialized at least three
 times between ``Request.encode()`` and ``sendall`` (message join, frame
-concat, batch join) and up to three more times on decode (assembler
-copy-in, ``bytes()`` slice, per-attachment slices).  The segment encode
-path plus ``sendmsg``-vectored writes and view-based decode cut that to
-zero user-space copies on encode and at most one on decode — without
-costing extra syscalls on small frames.
+concat, batch join) and up to three more times on decode.  The segment
+encode path plus ``sendmsg``-vectored writes and view-based decode — now the
+only wire path — cost zero user-space copies on encode and at most one on
+decode, without costing extra syscalls on small frames.  The retired
+copying arm's numbers are frozen in the baseline's ``history`` block, which
+re-runs preserve.
 
 Four claims, measured two ways:
 
 1. **Copies per frame** (deterministic, gated): the library's
-   ``MEMORY_COUNTERS.payload_copies`` over fixed call sequences — legacy
-   encode ≥ 2 and decode ≥ 2 vs. zero-copy encode 0 and decode ≤ 1.
+   ``MEMORY_COUNTERS.payload_copies`` over fixed call sequences — encode 0,
+   server decode ≤ 1, client decode 0.
 2. **Syscalls per batch** (deterministic, gated): a multi-frame batch costs
-   one ``sendmsg`` on the vectored path, exactly matching the one
-   ``sendall`` the legacy join needed — same syscall bill, no copy.
+   one ``sendmsg`` — the one-syscall bill a joined ``sendall`` had, with
+   no copy.
 3. **Throughput / peak memory** (wall clock, informational): bulk-ingest
    (``kv_multi_put``) and big-response (``kv_multi_get``) shapes over a real
-   loopback socket, legacy vs. zero-copy arms, with ``tracemalloc`` peaks.
+   loopback socket, as the median and inter-quartile range of warm repeats
+   timed with ``tracemalloc`` off; allocation peaks come from a separate
+   traced pass.
 4. **Compression** (deterministic, gated): negotiated zlib frame
    compression engages only above the size threshold and only when both
    ends opt in, and the codec round-trips byte-identically.
@@ -39,13 +42,14 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import statistics
 import time
 import tracemalloc
 from pathlib import Path
 from typing import Dict, List
 
 from repro import ServerEngine, TimeCrypt
-from repro.bench.reporting import ResultTable, write_json_report
+from repro.bench.reporting import ResultTable, merge_json_report
 from repro.net.client import RemoteServerClient
 from repro.net.framing import (
     MEMORY_COUNTERS,
@@ -72,6 +76,8 @@ BULK_VALUES = scaled(32, minimum=8)
 BULK_VALUE_BYTES = 1 << 20
 #: Small-frame workload: the no-regression check for tiny messages.
 SMALL_OPS = scaled(400, minimum=100)
+#: Timed repeats per throughput shape, after one untimed warm-up round.
+THROUGHPUT_REPEATS = 7
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_wire.json"
 
@@ -107,48 +113,35 @@ def _probe_request() -> Request:
 
 
 def copies_per_frame() -> Dict[str, Dict[str, int]]:
-    """``MEMORY_COUNTERS.payload_copies`` over one frame, per path and arm."""
+    """``MEMORY_COUNTERS.payload_copies`` over one frame, per path."""
     request = _probe_request()
 
     MEMORY_COUNTERS.reset()
-    legacy_wire = encode_frame_v2(1, request.encode())
-    encode_legacy = MEMORY_COUNTERS.payload_copies
-
-    MEMORY_COUNTERS.reset()
     segments = encode_frame_segments_v2(1, request.encode_segments())
-    encode_zero = MEMORY_COUNTERS.payload_copies
-    assert b"".join(segments) == legacy_wire  # byte identity on the wire
+    encode_copies = MEMORY_COUNTERS.payload_copies
+    wire = b"".join(segments)
+    assert wire == encode_frame_v2(1, request.encode())  # byte identity with the joined form
 
-    # Server-side decode: the incremental assembler feeds from the socket
-    # buffer; legacy materializes bytes payloads and slice-copied attachments.
+    # Server-side decode: the incremental assembler copies the payload in
+    # from the socket's staging buffer once; attachments decode as views.
     MEMORY_COUNTERS.reset()
-    (frame,) = FrameAssembler(views=False).feed(legacy_wire)
-    Request.decode(frame.payload)
-    server_decode_legacy = MEMORY_COUNTERS.payload_copies
-
-    MEMORY_COUNTERS.reset()
-    (frame,) = FrameAssembler(views=True).feed(legacy_wire)
+    (frame,) = FrameAssembler().feed(wire)
     decoded = Request.decode(frame.payload)
-    server_decode_zero = MEMORY_COUNTERS.payload_copies
+    server_decode_copies = MEMORY_COUNTERS.payload_copies
     assert retain(decoded.attachments[0]) == request.attachments[0]
 
     # Client-side decode: the blocking reader pulls payloads via recv_into,
-    # so the zero-copy arm touches the bytes exactly once (in the kernel).
+    # so the bytes are touched exactly once (in the kernel).
     MEMORY_COUNTERS.reset()
-    frame = FrameReader(io.BytesIO(legacy_wire), views=False).read()
+    frame = FrameReader(io.BytesIO(wire)).read()
     Request.decode(frame.payload)
-    client_decode_legacy = MEMORY_COUNTERS.payload_copies
-
-    MEMORY_COUNTERS.reset()
-    frame = FrameReader(io.BytesIO(legacy_wire), views=True).read()
-    Request.decode(frame.payload)
-    client_decode_zero = MEMORY_COUNTERS.payload_copies
+    client_decode_copies = MEMORY_COUNTERS.payload_copies
 
     MEMORY_COUNTERS.reset()
     return {
-        "encode": {"legacy": encode_legacy, "zero_copy": encode_zero},
-        "server_decode": {"legacy": server_decode_legacy, "zero_copy": server_decode_zero},
-        "client_decode": {"legacy": client_decode_legacy, "zero_copy": client_decode_zero},
+        "encode": {"zero_copy": encode_copies},
+        "server_decode": {"zero_copy": server_decode_copies},
+        "client_decode": {"zero_copy": client_decode_copies},
     }
 
 
@@ -158,43 +151,27 @@ def copies_per_frame() -> Dict[str, Dict[str, int]]:
 
 
 def syscalls_per_batch() -> Dict[str, int]:
-    """Write one ``BATCH_FRAMES``-frame batch through both write paths."""
+    """Write one ``BATCH_FRAMES``-frame batch through the vectored path."""
     requests = [
         Request("insert_chunks", {"uuid": "bench", "i": index}, [bytes(COPY_PROBE_BYTES)])
         for index in range(BATCH_FRAMES)
     ]
-
-    # Legacy: every frame is a concatenation, the batch is a join, the join
-    # is one sendall.  (The client adds one more counted copy for the batch
-    # join; here we count the library-side encodes only.)
-    MEMORY_COUNTERS.reset()
-    frames = [
-        encode_frame_v2(index + 1, request.encode())
-        for index, request in enumerate(requests)
-    ]
-    legacy_copies = MEMORY_COUNTERS.payload_copies
-    legacy_sink = _RecordingSink()
-    legacy_sink.write(b"".join(frames))
-    legacy_syscalls = 1
-
-    # Zero-copy: flatten every frame's segments and hand them to sendmsg.
     MEMORY_COUNTERS.reset()
     segments: List = []
     for index, request in enumerate(requests):
         segments.extend(encode_frame_segments_v2(index + 1, request.encode_segments()))
-    vector_sink = _RecordingSink()
-    syscalls, total, coalesced = write_vectored(vector_sink, segments)
-    vector_copies = MEMORY_COUNTERS.payload_copies
-    assert bytes(vector_sink.buffer) == bytes(legacy_sink.buffer)
-
+    sink = _RecordingSink()
+    syscalls, total, coalesced = write_vectored(sink, segments)
+    copies = MEMORY_COUNTERS.payload_copies
     MEMORY_COUNTERS.reset()
+    assert bytes(sink.buffer) == b"".join(
+        encode_frame_v2(index + 1, request.encode()) for index, request in enumerate(requests)
+    )
     return {
         "batch_frames": BATCH_FRAMES,
         "batch_bytes": total,
-        "legacy_syscalls": legacy_syscalls,
-        "legacy_copies": legacy_copies,
         "zero_copy_syscalls": syscalls,
-        "zero_copy_copies": vector_copies,
+        "zero_copy_copies": copies,
         "headers_coalesced": coalesced,
     }
 
@@ -211,47 +188,78 @@ def _bulk_items(num_values: int, value_bytes: int):
     ]
 
 
-def run_throughput(num_values: int, value_bytes: int, zero_copy: bool) -> Dict[str, float]:
-    """Bulk-ingest then big-response over loopback; wall clock + alloc peak."""
+def _one_round(remote: RemoteKeyValueStore, items, small_ops: int) -> Dict[str, float]:
+    """Ingest, fetch and small puts once; seconds per shape."""
+    begin = time.perf_counter()
+    remote.multi_put(items)
+    ingest = time.perf_counter() - begin
+    begin = time.perf_counter()
+    found = remote.multi_get([key for key, _value in items])
+    fetch = time.perf_counter() - begin
+    assert found == dict(items)  # byte identity end to end
+    begin = time.perf_counter()
+    for index in range(small_ops):
+        remote.put(b"small/%d" % (index % 32), b"v")
+    small = time.perf_counter() - begin
+    return {"ingest": ingest, "fetch": fetch, "small": small}
+
+
+def _median_and_iqr(samples: List[float]) -> Dict[str, object]:
+    quartiles = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": statistics.median(samples), "iqr": [quartiles[0], quartiles[2]]}
+
+
+def run_throughput(num_values: int, value_bytes: int, repeats: int) -> Dict[str, object]:
+    """Warm repeats over loopback, ``tracemalloc`` off; medians and IQRs."""
     items = _bulk_items(num_values, value_bytes)
-    total_bytes = sum(len(key) + len(value) for key, value in items)
-    store = MemoryStore()
-    with StorageNodeServer(store, zero_copy=zero_copy) as node:
-        host, port = node.address
-        remote = RemoteKeyValueStore(host, port, timeout=60.0, zero_copy=zero_copy)
+    total_mb = sum(len(key) + len(value) for key, value in items) / 1e6
+    rates: Dict[str, List[float]] = {"ingest": [], "fetch": [], "small": []}
+    with StorageNodeServer(MemoryStore()) as node:
+        remote = RemoteKeyValueStore(*node.address, timeout=60.0)
         try:
-            tracemalloc.start()
-            begin = time.perf_counter()
-            remote.multi_put(items)
-            ingest_elapsed = time.perf_counter() - begin
-            _current, ingest_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-
-            tracemalloc.start()
-            begin = time.perf_counter()
-            found = remote.multi_get([key for key, _value in items])
-            fetch_elapsed = time.perf_counter() - begin
-            _current, fetch_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            assert found == dict(items)  # byte identity end to end
-
-            begin = time.perf_counter()
-            for index in range(SMALL_OPS):
-                remote.put(b"small/%d" % (index % 32), b"v")
-            small_elapsed = time.perf_counter() - begin
+            _one_round(remote, items, SMALL_OPS)  # warm-up: dial, allocator, caches
+            for _repeat in range(repeats):
+                seconds = _one_round(remote, items, SMALL_OPS)
+                rates["ingest"].append(total_mb / seconds["ingest"])
+                rates["fetch"].append(total_mb / seconds["fetch"])
+                rates["small"].append(SMALL_OPS / seconds["small"])
         finally:
             remote.close()
+    ingest, fetch, small = (_median_and_iqr(rates[shape]) for shape in ("ingest", "fetch", "small"))
     return {
         "values": num_values,
-        "total_mb": total_bytes / 1e6,
-        "ingest_seconds": ingest_elapsed,
-        "ingest_mb_per_s": total_bytes / 1e6 / ingest_elapsed if ingest_elapsed else 0.0,
-        "ingest_peak_mb": ingest_peak / 1e6,
-        "fetch_seconds": fetch_elapsed,
-        "fetch_mb_per_s": total_bytes / 1e6 / fetch_elapsed if fetch_elapsed else 0.0,
-        "fetch_peak_mb": fetch_peak / 1e6,
-        "small_ops_per_s": SMALL_OPS / small_elapsed if small_elapsed else 0.0,
+        "total_mb": total_mb,
+        "repeats": repeats,
+        "ingest_mb_per_s": ingest["median"],
+        "ingest_mb_per_s_iqr": ingest["iqr"],
+        "fetch_mb_per_s": fetch["median"],
+        "fetch_mb_per_s_iqr": fetch["iqr"],
+        "small_ops_per_s": small["median"],
+        "small_ops_per_s_iqr": small["iqr"],
     }
+
+
+def measure_peaks(num_values: int, value_bytes: int) -> Dict[str, float]:
+    """Allocation peaks of one ingest and one fetch — a separate, untimed pass."""
+    items = _bulk_items(num_values, value_bytes)
+    peaks = {}
+    with StorageNodeServer(MemoryStore()) as node:
+        remote = RemoteKeyValueStore(*node.address, timeout=60.0)
+        try:
+            remote.connect()
+            for shape, action in (
+                ("ingest_peak_mb", lambda: remote.multi_put(items)),
+                ("fetch_peak_mb", lambda: remote.multi_get([key for key, _value in items])),
+            ):
+                tracemalloc.start()
+                try:
+                    action()
+                    peaks[shape] = tracemalloc.get_traced_memory()[1] / 1e6
+                finally:
+                    tracemalloc.stop()
+        finally:
+            remote.close()
+    return peaks
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +307,18 @@ def compression_counters() -> Dict[str, object]:
 
 
 def test_copies_per_frame_meet_acceptance():
-    """Encode: 3+ copies down to 0.  Decode: 2–3 copies down to ≤ 1."""
+    """Encode: 0 copies.  Decode: at most 1 (server), 0 (client)."""
     copies = copies_per_frame()
     assert copies["encode"]["zero_copy"] == 0
-    assert copies["encode"]["legacy"] >= 2
     assert copies["server_decode"]["zero_copy"] <= 1
-    assert copies["server_decode"]["legacy"] >= 3
     assert copies["client_decode"]["zero_copy"] == 0
-    assert copies["client_decode"]["legacy"] >= 2
-    # Whole-path legacy bill (encode + decode) is ≥ 3 full materializations.
-    assert copies["encode"]["legacy"] + copies["server_decode"]["legacy"] >= 3
 
 
 def test_vectored_batch_costs_no_extra_syscalls():
-    """The copy-free batch write costs exactly the legacy syscall bill."""
+    """The copy-free batch write costs one syscall, like one joined sendall."""
     syscalls = syscalls_per_batch()
-    assert syscalls["zero_copy_syscalls"] <= syscalls["legacy_syscalls"]
+    assert syscalls["zero_copy_syscalls"] <= 1
     assert syscalls["zero_copy_copies"] == 0
-    assert syscalls["legacy_copies"] >= 2 * syscalls["batch_frames"]
     # Two small segments per frame (frame header + message header) coalesce.
     assert syscalls["headers_coalesced"] == 2 * syscalls["batch_frames"]
 
@@ -329,10 +331,10 @@ def test_compression_engages_only_when_negotiated_and_large():
     assert counters["response_frames_compressed"] >= 1
 
 
-def test_throughput_arms_are_byte_identical():
+def test_throughput_is_byte_identical():
     """Smoke-sized throughput run; the multi_get assert checks identity."""
-    run_throughput(4, 1 << 18, zero_copy=True)
-    run_throughput(4, 1 << 18, zero_copy=False)
+    run_throughput(4, 1 << 18, repeats=2)
+    assert set(measure_peaks(4, 1 << 18)) == {"ingest_peak_mb", "fetch_peak_mb"}
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +357,18 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     num_values = 8 if args.smoke else BULK_VALUES
     value_bytes = (1 << 18) if args.smoke else BULK_VALUE_BYTES
+    repeats = 3 if args.smoke else THROUGHPUT_REPEATS
 
     results: Dict[str, object] = {"smoke": args.smoke}
 
     copies = copies_per_frame()
     copy_table = ResultTable(
         title="Full-payload copies per frame — 1 MiB attachment, library counters",
-        columns=["path", "legacy", "zero-copy"],
+        columns=["path", "copies"],
     )
     for path in ("encode", "server_decode", "client_decode"):
-        copy_table.add_row(path, str(copies[path]["legacy"]), str(copies[path]["zero_copy"]))
-    copy_table.add_note("acceptance: encode 0 and decode <= 1 vs >= 3 on the legacy path")
+        copy_table.add_row(path, str(copies[path]["zero_copy"]))
+    copy_table.add_note("acceptance: encode 0 and decode <= 1 (the retired copying path: >= 3)")
     copy_table.print()
     results["copies"] = copies
 
@@ -374,35 +377,30 @@ def main(argv=None) -> None:
         title=f"Syscalls per {BATCH_FRAMES}-frame batch ({syscalls['batch_bytes'] >> 20} MiB)",
         columns=["path", "syscalls", "payload copies"],
     )
-    syscall_table.add_row("legacy join+sendall", str(syscalls["legacy_syscalls"]), str(syscalls["legacy_copies"]))
     syscall_table.add_row("vectored sendmsg", str(syscalls["zero_copy_syscalls"]), str(syscalls["zero_copy_copies"]))
     syscall_table.add_note(f"{syscalls['headers_coalesced']} small header segments coalesced into one iovec run")
     syscall_table.print()
     results["syscalls"] = syscalls
 
-    arms = {}
-    for label, zero_copy in (("legacy", False), ("zero_copy", True)):
-        arms[label] = run_throughput(num_values, value_bytes, zero_copy=zero_copy)
+    throughput = run_throughput(num_values, value_bytes, repeats)
+    throughput.update(measure_peaks(num_values, value_bytes))
     throughput_table = ResultTable(
         title=(
-            f"Bulk wire throughput — {arms['legacy']['total_mb']:.0f} MB over loopback "
-            f"({num_values} values, tracemalloc on)"
+            f"Bulk wire throughput — {throughput['total_mb']:.0f} MB over loopback "
+            f"({num_values} values, median of {repeats} warm repeats, tracemalloc off)"
         ),
-        columns=["arm", "ingest MB/s", "ingest peak MB", "fetch MB/s", "fetch peak MB", "small ops/s"],
+        columns=["shape", "median", "IQR", "traced peak"],
     )
-    for label in ("legacy", "zero_copy"):
-        row = arms[label]
-        throughput_table.add_row(
-            label,
-            f"{row['ingest_mb_per_s']:.0f}",
-            f"{row['ingest_peak_mb']:.1f}",
-            f"{row['fetch_mb_per_s']:.0f}",
-            f"{row['fetch_peak_mb']:.1f}",
-            f"{row['small_ops_per_s']:.0f}",
-        )
-    throughput_table.add_note("arms are byte-identical (asserted in run_throughput)")
+    for label, key, unit, peak in (
+        ("ingest", "ingest_mb_per_s", "MB/s", f"{throughput['ingest_peak_mb']:.1f} MB"),
+        ("fetch", "fetch_mb_per_s", "MB/s", f"{throughput['fetch_peak_mb']:.1f} MB"),
+        ("small puts", "small_ops_per_s", "ops/s", "-"),
+    ):
+        low, high = throughput[f"{key}_iqr"]
+        throughput_table.add_row(label, f"{throughput[key]:.0f} {unit}", f"{low:.0f}-{high:.0f}", peak)
+    throughput_table.add_note("peaks come from a separate tracemalloc pass; every fetch is byte-identical")
     throughput_table.print()
-    results["throughput"] = arms
+    results["throughput"] = throughput
     results["byte_identity"] = {"identical": True}
 
     compression = compression_counters()
@@ -417,7 +415,8 @@ def main(argv=None) -> None:
     compression_table.print()
     results["compression"] = compression
 
-    print(f"baseline written to {write_json_report(args.output, results)}")
+    # Merge, not overwrite: the baseline's frozen ``history`` block survives.
+    print(f"baseline written to {merge_json_report(args.output, results)}")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ drives it through :class:`repro.net.client.RemoteServerClient`, demonstrating
 that the client engines work unchanged against a remote server — the server
 still only ever sees ciphertexts.
 
-Since protocol v2 the connection is pipelined and request-multiplexed: the
-client negotiates the protocol with a ``hello`` at connect, an N-chunk
+The connection is pipelined and request-multiplexed: the client
+negotiates capabilities (operations, credit window) with a ``hello`` at
+connect, an N-chunk
 ingest batch ships as one framed ``insert_chunks`` request, a cohort grant
 burst is one ``put_grants`` request, and heterogeneous call batches
 collapse into a single round trip through ``client.pipeline()``.  The
@@ -32,7 +33,10 @@ def main() -> None:
         print(f"TimeCrypt server listening on {host}:{port}")
 
         with RemoteServerClient(host, port) as remote:
-            print(f"negotiated protocol v{remote.protocol_version}, ping: {remote.ping()}")
+            print(
+                f"negotiated protocol v{remote.hello_info['protocol']}, "
+                f"credit window {remote.credit_window}, ping: {remote.ping()}"
+            )
 
             # The owner-side client is identical to the in-process case; only the
             # server handle differs.

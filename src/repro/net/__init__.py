@@ -2,30 +2,22 @@
 
 The original prototype exposes the TimeCrypt API over Netty with protobuf
 messages.  Here the wire format is a hand-rolled length-prefixed binary
-protocol (:mod:`repro.net.messages`, :mod:`repro.net.framing`) carried either
-over real TCP sockets (:mod:`repro.net.server`, :mod:`repro.net.client`) or
-over a zero-copy in-process transport used by benchmarks so that socket
-overhead does not mask the cryptography being measured.
+protocol (:mod:`repro.net.messages`, :mod:`repro.net.framing`) carried over
+real TCP sockets (:mod:`repro.net.server`, :mod:`repro.net.client`).
 
-Since protocol v2 the wire is **pipelined and request-multiplexed**: v2
-frames carry per-request correlation ids (see :mod:`repro.net.framing` for
-the exact header layout), the server dispatches frames from a bounded
+The wire is **pipelined and request-multiplexed**: every frame carries a
+per-request correlation id (see :mod:`repro.net.framing` for the header
+layout), the server dispatches frames from a bounded, two-class scheduled
 worker pool and answers out of order, and the client multiplexes any number
-of in-flight requests over one connection — ``call_many`` / ``pipeline()``
-ship whole request batches in a single round trip.  v1 lockstep peers keep
-working on the same port: the first two magic bytes of every frame select
-the protocol version, and ``hello`` negotiates capabilities up front.
+of in-flight requests over one connection under a credit window —
+``call_many`` / ``pipeline()`` ship whole request batches in a single round
+trip.  ``hello`` negotiates capabilities (operations, credit window,
+compression, tracing) up front, and :class:`ConnectionCache` is the one
+place cached connections are dialled.
 """
 
-from repro.net.client import RemoteServerClient, RequestPipeline, WireStats
-from repro.net.framing import (
-    Frame,
-    FrameAssembler,
-    read_any_frame,
-    read_frame,
-    write_frame,
-    write_frame_v2,
-)
+from repro.net.client import ConnectionCache, RemoteServerClient, RequestPipeline, WireStats
+from repro.net.framing import Frame, FrameAssembler, FrameReader, encode_frame_segments_v2, write_vectored
 from repro.net.messages import Request, Response
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer, WireDispatcher
 
@@ -35,13 +27,13 @@ __all__ = [
     "WireDispatcher",
     "Frame",
     "FrameAssembler",
-    "read_frame",
-    "read_any_frame",
-    "write_frame",
-    "write_frame_v2",
+    "FrameReader",
+    "encode_frame_segments_v2",
+    "write_vectored",
     "RequestDispatcher",
     "TimeCryptTCPServer",
     "RemoteServerClient",
+    "ConnectionCache",
     "RequestPipeline",
     "WireStats",
 ]

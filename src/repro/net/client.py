@@ -6,34 +6,36 @@ surface as :class:`~repro.server.engine.ServerEngine`, so the
 :class:`~repro.core.timecrypt.TimeCrypt` facade and the consumer client work
 unchanged whether the server is in-process or across the network.
 
-Transport model (protocol v2, the default): one dedicated **reader thread**
-drains response frames and resolves them against a correlation-id → future
-table, so any number of requests can be in flight on one connection and
-responses may arrive in any order.  On top of that sit three calling styles:
+Transport model: one dedicated **reader thread** drains response frames and
+resolves them against a correlation-id → future table, so any number of
+requests can be in flight on one connection and responses may arrive in any
+order.  On top of that sit three calling styles:
 
 * ``_call`` — write one request, wait for its future (one round trip);
 * :meth:`call_many` — write a whole batch of requests back-to-back in one
-  ``sendall``, then wait for all futures: N requests, **one** round trip;
+  vectored write, then wait for all futures: N requests, **one** round trip;
 * :meth:`pipeline` — a context manager that records ServerEngine-shaped
   calls as deferred handles and flushes them through :meth:`call_many` on
   exit, so heterogeneous bursts (grant pickups, range reads, stat queries)
   also collapse into one round trip.
 
-The protocol version is negotiated at connect time with a ``hello``
-request; a peer that cannot answer it (a v1-only lockstep server) drops the
-connection, and the client transparently reconnects in v1 mode — one locked
-request/response exchange per operation, exactly the original wire
-behaviour.  :class:`WireStats` counts requests and round trips either way,
-which is what the network benchmarks assert against.
+Capabilities are negotiated at connect time with one synchronous ``hello``;
+a peer that rejects it, hangs up, or answers something unparseable fails
+the constructor with a typed :class:`~repro.exceptions.TransportError`.
+:class:`WireStats` counts requests and round trips, which is what the
+network benchmarks assert against.
 
-Two backpressure mechanisms ride on the v2 transport (see
+Two backpressure mechanisms ride on the transport (see
 :mod:`repro.net.server`): servers advertise a per-connection **credit
 window** in ``hello`` and return one credit per response, and the client
-blocks frame submission on the window (``flow_control=False`` floods like a
-legacy client); a server shedding under load answers with a typed
-``overloaded`` error, which the client retries with capped exponential
-backoff (``overload_retries``) before surfacing
+blocks frame submission on the window; a server shedding under load answers
+with a typed ``overloaded`` error, which the client retries with capped
+exponential backoff (``overload_retries``) before surfacing
 :class:`~repro.exceptions.OverloadedError` to the caller.
+
+:class:`ConnectionCache` is the one place connections are dialled: the
+sharded client, the router and the remote storage client all keep their
+per-address connections in one.
 """
 
 from __future__ import annotations
@@ -58,15 +60,10 @@ from repro.exceptions import (
     TransportError,
 )
 from repro.net.framing import (
-    MEMORY_COUNTERS,
+    FRAME_HEADER_BYTES,
     PROTOCOL_VERSION,
     FrameReader,
     encode_frame_segments_v2,
-    encode_frame_v2,
-    read_any_frame,
-    read_frame,
-    write_frame,
-    write_frame_v2,
     write_vectored,
 )
 from repro.net.messages import (
@@ -131,8 +128,8 @@ def _is_overloaded(response: Response) -> bool:
 class WireStats:
     """Client-side wire accounting.
 
-    ``round_trips`` counts *wait points*: one per lockstep call and one per
-    flushed pipeline/batch, however many requests it carried.  This is the
+    ``round_trips`` counts *wait points*: one per call and one per flushed
+    pipeline/batch, however many requests it carried.  This is the
     quantity that maps to network latency and that ``BENCH_net.json``
     tracks; ``requests_sent`` is the op count for computing batching ratios.
     """
@@ -464,25 +461,16 @@ class _RemoteTokenStore:
 class RemoteServerClient:
     """A ServerEngine-compatible proxy over a TCP connection.
 
-    ``protocol_version=2`` (the default) negotiates the pipelined wire and
-    falls back to the v1 lockstep protocol when the peer does not speak it;
-    ``protocol_version=1`` forces lockstep mode (one locked request/response
-    exchange per call), which is also what legacy deployments of this
-    client did on every call.
-
-    ``flow_control`` (default on) honours the credit window the server
-    advertised in ``hello``: frame submission blocks once window-many frames
-    are unanswered.  ``overload_retries`` bounds how often a request the
-    server shed with a typed ``overloaded`` response is re-sent (capped
+    Frame submission blocks once the credit window the server advertised in
+    ``hello`` is used up.  ``overload_retries`` bounds how often a request
+    the server shed with a typed ``overloaded`` response is re-sent (capped
     exponential backoff seeded by the server's retry-after hint) before the
     error surfaces to the caller.
 
-    ``zero_copy`` (default on) sends request batches through
-    ``socket.sendmsg`` as header + attachment views (no batch concatenation)
-    and decodes responses as memoryviews over per-frame buffers;
-    ``zero_copy=False`` is the legacy join-and-``sendall`` path, kept for
-    comparison benchmarks.  ``compression=True`` offers zlib frame
-    compression in ``hello`` and compresses requests over
+    Request batches go out through ``socket.sendmsg`` as header +
+    attachment views (no batch concatenation), and responses decode as
+    memoryviews over per-frame buffers.  ``compression=True`` offers zlib
+    frame compression in ``hello`` and compresses requests over
     ``compress_threshold`` bytes once the server advertises support; off by
     default (chunk ciphertext is incompressible — see
     :mod:`repro.net.messages`).
@@ -493,21 +481,17 @@ class RemoteServerClient:
         host: str,
         port: int,
         timeout: float = 30.0,
-        protocol_version: int = PROTOCOL_VERSION,
-        flow_control: bool = True,
         overload_retries: int = 4,
         overload_backoff_cap: float = 0.25,
-        zero_copy: bool = True,
         compression: bool = False,
         compress_threshold: int = WIRE_COMPRESSION_THRESHOLD,
         tracing: bool = False,
     ) -> None:
-        if protocol_version not in (1, 2):
-            raise ProtocolError(f"unsupported protocol version {protocol_version}")
         self._address = (host, port)
         self._timeout = timeout
         self._socket = socket.create_connection(self._address, timeout=timeout)
-        self._lock = threading.Lock()  # v1 lockstep + v2 write serialisation
+        self._frames = FrameReader(self._socket)
+        self._lock = threading.Lock()  # serialises frame writes
         self._closed = False
         self.token_store = _RemoteTokenStore(self)
         self.wire_stats = WireStats()
@@ -516,107 +500,87 @@ class RemoteServerClient:
         #: a client span, its context rides the request's ``trace`` header
         #: key, and the ``tracing`` capability is offered in ``hello`` so
         #: negotiating servers record matching server-side spans.  A server
-        #: (or v1 peer) that never negotiated simply ignores the header key.
+        #: that never negotiated simply ignores the header key.
         self._tracing = bool(tracing)
         self._node_label = f"client:{host}:{port}"
+        self._pending: Dict[int, "Future[Response]"] = {}
+        self._pending_lock = threading.Lock()
+        self._correlation_ids = itertools.count(1)
+        self._overload_retries = max(0, int(overload_retries))
+        self._overload_backoff_cap = max(0.0, float(overload_backoff_cap))
+        self._compression = bool(compression)
+        self._compress_threshold = max(1, int(compress_threshold))
+        try:
+            #: The full ``hello`` result: capability fields beyond the op list
+            #: (e.g. a shard routing table).
+            self.hello_info: Dict[str, Any] = self._negotiate()
+        except BaseException:
+            self._socket.close()
+            raise
+        self._server_operations = frozenset(self.hello_info.get("operations", ()))
+        advertised = self.hello_info.get("compression") or ()
+        #: True once both ends negotiated a compression scheme in ``hello``.
+        self._compress = self._compression and any(
+            scheme in advertised for scheme in WIRE_COMPRESSION_SCHEMES
+        )
+        # Created before the reader starts, so every piggybacked grant the
+        # reader ever sees lands in the gate.  (The hello exchange itself
+        # was synchronous — its grant is already accounted for by starting
+        # at the full window.)
+        self._credits = _CreditGate(self.hello_info["credits"])
         # Snapshot through the client, not the stats object: wrappers like
         # RemoteKeyValueStore swap in a shared WireStats after construction.
         self._metrics_key = REGISTRY.register(
             f"client.wire[{host}:{port}]", self, snapshot=lambda client: asdict(client.wire_stats)
         )
-        self._pending: Dict[int, "Future[Response]"] = {}
-        self._pending_lock = threading.Lock()
-        self._correlation_ids = itertools.count(1)
-        self._reader: Optional[threading.Thread] = None
-        self._server_operations: Optional[frozenset] = None
-        self._flow_control = bool(flow_control)
-        self._credits: Optional[_CreditGate] = None
-        self._overload_retries = max(0, int(overload_retries))
-        self._overload_backoff_cap = max(0.0, float(overload_backoff_cap))
-        self._zero_copy = bool(zero_copy)
-        self._compression = bool(compression)
-        self._compress_threshold = max(1, int(compress_threshold))
-        #: True once both ends negotiated a compression scheme in ``hello``.
-        self._compress = False
-        #: The full ``hello`` result: capability fields beyond the op list
-        #: (e.g. a shard routing table). Empty for v1 peers.
-        self.hello_info: Dict[str, Any] = {}
-        self.protocol_version = protocol_version
-        if protocol_version == PROTOCOL_VERSION:
-            self._negotiate()
-        if self.protocol_version == PROTOCOL_VERSION:
-            window = self.hello_info.get("credits")
-            if self._flow_control and isinstance(window, int) and window > 0:
-                # Created before the reader starts, so every piggybacked
-                # grant the reader ever sees lands in the gate.  (The hello
-                # exchange itself was synchronous — its grant is already
-                # accounted for by starting at the full window.)
-                self._credits = _CreditGate(window)
-            # Idle connections must not kill the reader thread: per-request
-            # deadlines are enforced on the futures, not on the socket.
-            self._socket.settimeout(None)
-            self._reader = threading.Thread(
-                target=self._read_loop, daemon=True, name="tc-client-reader"
-            )
-            self._reader.start()
+        # Idle connections must not kill the reader thread: per-request
+        # deadlines are enforced on the futures, not on the socket.
+        self._socket.settimeout(None)
+        self._reader = threading.Thread(target=self._read_loop, daemon=True, name="tc-client-reader")
+        self._reader.start()
 
     @property
     def credit_window(self) -> int:
-        """The negotiated flow-control window (0 when flow control is off)."""
-        return self._credits.window if self._credits is not None else 0
+        """The flow-control window the server advertised in ``hello``."""
+        return self._credits.window
 
     @property
     def credits_available(self) -> int:
-        return self._credits.available if self._credits is not None else 0
+        return self._credits.available
 
     # -- connection management ---------------------------------------------------------
 
-    def _negotiate(self) -> None:
-        """One synchronous v2 ``hello``; fall back to v1 lockstep when rejected.
+    def _negotiate(self) -> Dict[str, Any]:
+        """One synchronous ``hello``; returns the peer's capability fields.
 
-        Only peer-rejection signals trigger the downgrade: a v1-only peer
-        hangs up on the unknown ``T2`` magic (EOF / connection reset) or
-        answers something unparseable.  A *timeout* means the peer is slow,
-        not v1 — silently pinning such a session to lockstep would degrade
-        every later call — so it raises instead.
+        A peer that hangs up, times out, or answers anything but a
+        successful hello carrying a credit window fails with a plain
+        :class:`~repro.exceptions.TransportError` — to a caller it looks
+        like an unreachable peer (a restarting node drops the connection
+        mid-hello), so the storage tier treats it as a retryable outage.
         """
+        hello_args: Dict[str, Any] = {"protocol": PROTOCOL_VERSION}
+        if self._compression:
+            # Offering a scheme also means: compressed responses welcome.
+            hello_args["compression"] = list(WIRE_COMPRESSION_SCHEMES)
+        if self._tracing:
+            hello_args["tracing"] = True
+        request = Request("hello", hello_args)
         try:
-            hello_args: Dict[str, Any] = {"protocol": PROTOCOL_VERSION}
-            if self._compression:
-                # Offering a scheme also means: compressed responses welcome.
-                hello_args["compression"] = list(WIRE_COMPRESSION_SCHEMES)
-            if self._tracing:
-                hello_args["tracing"] = True
-            write_frame_v2(self._socket, 0, Request("hello", hello_args).encode())
-            frame = read_any_frame(self._socket)
-            response = Response.decode(frame.payload)
-            if not response.ok or int(response.result.get("protocol", 1)) < PROTOCOL_VERSION:
-                raise ProtocolError("peer does not speak protocol v2")
-            self._server_operations = frozenset(response.result.get("operations", ()))
-            self.hello_info = dict(response.result)
-            advertised = self.hello_info.get("compression") or ()
-            self._compress = self._compression and any(
-                scheme in advertised for scheme in WIRE_COMPRESSION_SCHEMES
-            )
-        except socket.timeout as exc:
-            raise TransportError(
-                f"hello negotiation with {self._address} timed out: {exc}"
-            ) from exc
-        except (TimeCryptError, ConnectionError):
-            # A v1-only peer closes the connection on the unknown magic;
-            # reconnect and stay in lockstep mode.
-            logger.info("peer at %s rejected hello; redialling in v1 lockstep mode", self._address)
-            try:
-                self._socket.close()
-            except OSError:
-                pass
-            self._socket = socket.create_connection(self._address, timeout=self._timeout)
-            self.protocol_version = 1
+            write_vectored(self._socket, encode_frame_segments_v2(0, request.encode_segments()))
+            response = Response.decode(self._frames.read().payload)
+            window = response.result.get("credits")
+            if not response.ok or not isinstance(window, int) or window < 1:
+                raise ProtocolError(
+                    f"peer rejected hello or advertised no credit window: "
+                    f"{response.error or response.result}"
+                )
+        except (TransportError, OSError) as exc:
+            raise TransportError(f"hello negotiation with {self._address} failed: {exc}") from exc
+        return dict(response.result)
 
     def supports_operation(self, operation: str) -> bool:
-        """Whether negotiation advertised an operation (v1 peers: assume not)."""
-        if self._server_operations is None:
-            return False
+        """Whether negotiation advertised an operation."""
         return operation in self._server_operations
 
     def close(self) -> None:
@@ -632,9 +596,7 @@ class RemoteServerClient:
             self._socket.close()
         except OSError:
             pass
-        if self._reader is not None:
-            self._reader.join(timeout=5)
-            self._reader = None
+        self._reader.join(timeout=5)
 
     def __enter__(self) -> "RemoteServerClient":
         return self
@@ -642,28 +604,29 @@ class RemoteServerClient:
     def __exit__(self, *_exc_info: object) -> None:
         self.close()
 
-    # -- v2 transport ----------------------------------------------------------------
+    # -- transport -------------------------------------------------------------------
 
     def _read_loop(self) -> None:
         """Reader thread: resolve response frames against the pending table.
 
-        With ``zero_copy`` the reader pulls payloads straight into per-frame
-        buffers via ``recv_into`` and decodes attachments as views over them
-        — the engine-facing accessors (``get_range``, grant/envelope pickup)
-        materialize copies only where results are retained.
+        Payloads land straight in per-frame buffers via ``recv_into`` and
+        decode as views over them — the engine-facing accessors
+        (``get_range``, grant/envelope pickup) materialize copies only where
+        results are retained.  Any read or decode failure fails every
+        pending call at once: a stream that cannot be parsed cannot be
+        re-synchronised, and waiting out the timeout would hide the cause.
         """
-        reader = FrameReader(self._socket, views=self._zero_copy)
         while True:
             try:
-                frame = reader.read()
+                frame = self._frames.read()
                 response = Response.decode(frame.payload)
-            except (TimeCryptError, OSError) as exc:
+            except Exception as exc:  # noqa: BLE001 — every failure must reach the waiters
                 self._fail_pending(exc)
                 return
-            self.wire_stats.bytes_received += len(frame.payload) + (15 if frame.version == 2 else 6)
+            self.wire_stats.bytes_received += len(frame.payload) + FRAME_HEADER_BYTES
             with self._pending_lock:
                 future = self._pending.pop(frame.correlation_id, None)
-            if self._credits is not None and response.credit_grant:
+            if response.credit_grant:
                 # Replenish before resolving the future: a caller chaining
                 # sends off the result must see the returned credit.
                 self._credits.grant(response.credit_grant)
@@ -679,7 +642,7 @@ class RemoteServerClient:
         with self._pending_lock:
             pending = list(self._pending.values())
             self._pending.clear()
-        if self._credits is not None and pending:
+        if pending:
             # Responses that will never arrive must still return their
             # credits, or every sender blocked on the window hangs until its
             # timeout.  (grant() clamps at the window, so requests that never
@@ -690,15 +653,10 @@ class RemoteServerClient:
                 future.set_exception(error)
 
     def _encode_batch(self, requests: Sequence[Request]) -> List[List[Any]]:
-        """Message-segment lists for a batch, compressed where negotiated.
-
-        Zero-copy mode keeps attachments as uncoalesced segments for the
-        vectored writer; legacy mode joins each message into one payload
-        (the old copying behaviour, kept as the benchmark's before-arm).
-        """
+        """Message-segment lists for a batch, compressed where negotiated."""
         encoded: List[List[Any]] = []
         for request in requests:
-            segments = request.encode_segments() if self._zero_copy else [request.encode()]
+            segments = request.encode_segments()
             if self._compress:
                 segments, compressed = maybe_compress_segments(segments, self._compress_threshold)
                 if compressed:
@@ -707,21 +665,15 @@ class RemoteServerClient:
         return encoded
 
     def _write_frames(self, frames: Sequence[List[Any]]) -> None:
-        """Ship framed segment lists; vectored when zero-copy, joined sendall otherwise."""
-        if self._zero_copy:
-            flat = [segment for frame in frames for segment in frame]
-            _syscalls, sent, coalesced = write_vectored(self._socket, flat)
-            self.wire_stats.vectored_writes += 1
-            self.wire_stats.frames_coalesced += coalesced
-            self.wire_stats.bytes_sent += sent
-        else:
-            MEMORY_COUNTERS.payload_copies += 1
-            data = b"".join(segment for frame in frames for segment in frame)
-            self._socket.sendall(data)
-            self.wire_stats.bytes_sent += len(data)
+        """Ship framed segment lists in one vectored write."""
+        flat = [segment for frame in frames for segment in frame]
+        _syscalls, sent, coalesced = write_vectored(self._socket, flat)
+        self.wire_stats.vectored_writes += 1
+        self.wire_stats.frames_coalesced += coalesced
+        self.wire_stats.bytes_sent += sent
 
     def _send_requests(self, requests: Sequence[Request]) -> List["Future[Response]"]:
-        """Frame and write a request batch in one vectored write; returns futures."""
+        """Frame and write a request batch in credit-sized bursts; returns futures."""
         # Encode outside the pending lock: a multi-megabyte chunk batch must
         # not stall the reader thread's response resolution while it JSONs.
         # Framing happens *before* any future is registered — an oversized
@@ -730,16 +682,10 @@ class RemoteServerClient:
         messages = self._encode_batch(requests)
         with self._pending_lock:
             correlation_ids = [next(self._correlation_ids) for _message in messages]
-        if self._zero_copy:
-            frames = [
-                encode_frame_segments_v2(correlation_id, segments)
-                for correlation_id, segments in zip(correlation_ids, messages)
-            ]
-        else:
-            frames = [
-                [encode_frame_v2(correlation_id, segments[0])]
-                for correlation_id, segments in zip(correlation_ids, messages)
-            ]
+        frames = [
+            encode_frame_segments_v2(correlation_id, segments)
+            for correlation_id, segments in zip(correlation_ids, messages)
+        ]
         futures: List["Future[Response]"] = []
         with self._pending_lock:
             for correlation_id in correlation_ids:
@@ -749,20 +695,11 @@ class RemoteServerClient:
         # A reader that died *before* the registration above has already
         # swept _pending and will never fail these futures; checking after
         # registration closes the race (a reader dying later sweeps them).
-        if self._reader is not None and not self._reader.is_alive():
+        if not self._reader.is_alive():
             self._fail_pending(TransportError("reader thread terminated"))
             return futures
-        if self._credits is None:
-            try:
-                with self._lock:
-                    # repro: allow[REPRO004] _lock exists to serialize frame writes on this socket; holding it across sendall is the design, and only writers contend on it
-                    self._write_frames(frames)
-            except OSError as exc:
-                self._fail_pending(exc)
-            self.wire_stats.requests_sent += len(requests)
-            return futures
-        # Flow-controlled path: the batch goes out in credit-sized bursts, so
-        # at most window-many frames are ever unanswered on this connection.
+        # The batch goes out in credit-sized bursts, so at most window-many
+        # frames are ever unanswered on this connection.
         sent = 0
         while sent < len(frames):
             if self._credits.available <= 0:
@@ -787,7 +724,7 @@ class RemoteServerClient:
                 return futures
             try:
                 with self._lock:
-                    # repro: allow[REPRO004] same write-serialization design as the uncontrolled path above: _lock guards the socket write stream itself
+                    # repro: allow[REPRO004] _lock exists to serialize frame writes on this socket; holding it across the vectored write is the design, and only writers contend on it
                     self._write_frames(frames[sent : sent + granted])
             except OSError as exc:
                 self._fail_pending(exc)
@@ -872,14 +809,11 @@ class RemoteServerClient:
         """One request, one round trip; raises the remote error on failure."""
         begun = self._begin_trace((request,))
         try:
-            if self.protocol_version == 1:
-                response = self._call_lockstep(request)
-            else:
-                future = self._send_requests([request])[0]
-                self.wire_stats.round_trips += 1
-                response = self._await(future)
-                if _is_overloaded(response):
-                    response = self._retry_overloaded([request], [response])[0]
+            future = self._send_requests([request])[0]
+            self.wire_stats.round_trips += 1
+            response = self._await(future)
+            if _is_overloaded(response):
+                response = self._retry_overloaded([request], [response])[0]
         except Exception as exc:
             self._finish_trace(begun, error=exc)
             raise
@@ -914,38 +848,22 @@ class RemoteServerClient:
                 responses[slot] = self._await(future)
         return responses
 
-    def _call_lockstep(self, request: Request) -> Response:
-        with self._lock:
-            try:
-                write_frame(self._socket, request.encode())
-                self.wire_stats.requests_sent += 1
-                self.wire_stats.round_trips += 1
-                response = Response.decode(read_frame(self._socket))
-                self.wire_stats.responses_received += 1
-            except OSError as exc:
-                raise TransportError(f"connection to {self._address} failed: {exc}") from exc
-        return response
-
     def call_many(self, requests: Sequence[Request]) -> List[Response]:
         """Ship a request batch in one round trip; responses in request order.
 
         Unlike :meth:`_call` this does **not** raise on per-request errors —
         each returned :class:`Response` carries its own outcome, so one
-        failed request inside a batch cannot mask the others.  In v1
-        lockstep mode the batch degrades to sequential round trips.
+        failed request inside a batch cannot mask the others.
         """
         if not requests:
             return []
         begun = self._begin_trace(requests)
         try:
-            if self.protocol_version == 1:
-                responses = [self._call_lockstep(request) for request in requests]
-            else:
-                futures = self._send_requests(requests)
-                self.wire_stats.round_trips += 1
-                self.wire_stats.batches_sent += 1
-                responses = [self._await(future) for future in futures]
-                responses = self._retry_overloaded(list(requests), responses)
+            futures = self._send_requests(requests)
+            self.wire_stats.round_trips += 1
+            self.wire_stats.batches_sent += 1
+            responses = [self._await(future) for future in futures]
+            responses = self._retry_overloaded(list(requests), responses)
         except Exception as exc:
             self._finish_trace(begun, error=exc)
             raise
@@ -1005,7 +923,7 @@ class RemoteServerClient:
         """
         if not chunks:
             raise ProtocolError("insert_chunks requires at least one chunk")
-        if self._server_operations is not None and not self.supports_operation("insert_chunks"):
+        if not self.supports_operation("insert_chunks"):
             return self._insert_chunks_one_by_one(chunks)
         try:
             response = self._call(
@@ -1020,7 +938,7 @@ class RemoteServerClient:
             message = str(exc)
             if "unsupported operation" not in message and "unknown operation" not in message:
                 raise
-            self._server_operations = (self._server_operations or frozenset()) - {"insert_chunks"}
+            self._server_operations = self._server_operations - {"insert_chunks"}
             return self._insert_chunks_one_by_one(chunks)
         return int(response.result["window_index"])
 
@@ -1114,6 +1032,99 @@ class RemoteServerClient:
         )
 
 
+Address = Tuple[str, int]
+
+
+class ConnectionCache:
+    """Lazily dialled :class:`RemoteServerClient` connections, one per address.
+
+    The one dialler behind every cached connection (the sharded client, the
+    router's proxy hop, the remote storage client):
+
+    * it dials **outside** the lock — a connect + ``hello`` can block for
+      the full timeout against a dead peer, and threads that only want an
+      already-cached connection must not queue behind it;
+    * it installs **double-checked**: a thread that loses a concurrent dial
+      race closes its own client and uses the installed one, so racing
+      first calls neither leak connections nor close each other's;
+    * it **drops** a connection after a transport failure — only if it is
+      still the installed one, so a racing redial survives — and the next
+      call dials again.
+
+    ``prepare`` runs on every freshly dialled client before it is installed;
+    if it raises, the client is closed and the error propagates.
+    ``client_options`` are the :class:`RemoteServerClient` keyword arguments.
+    """
+
+    def __init__(
+        self, prepare: Optional[Callable[[RemoteServerClient], None]] = None, **client_options: Any
+    ) -> None:
+        self.client_options = client_options
+        self._prepare = prepare
+        self._lock = threading.Lock()
+        self._clients: Dict[Address, RemoteServerClient] = {}
+
+    def get(self, address: Address) -> RemoteServerClient:
+        """The cached connection to ``address``, dialling it if there is none."""
+        installed = self.peek(address)
+        if installed is not None:
+            return installed
+        client = RemoteServerClient(address[0], address[1], **self.client_options)
+        try:
+            if self._prepare is not None:
+                self._prepare(client)
+        except BaseException:
+            client.close()
+            raise
+        with self._lock:
+            installed = self._clients.setdefault(address, client)
+        if installed is not client:
+            client.close()  # lost the dial race: keep the installed transport
+        return installed
+
+    def peek(self, address: Address) -> Optional[RemoteServerClient]:
+        """The cached connection to ``address``, never dialling."""
+        with self._lock:
+            return self._clients.get(address)
+
+    def clients(self) -> List[RemoteServerClient]:
+        with self._lock:
+            return list(self._clients.values())
+
+    def call_many(self, address: Address, requests: Sequence[Request]) -> List[Response]:
+        """:meth:`RemoteServerClient.call_many` over the cached connection.
+
+        A transport failure drops the connection before re-raising.  A
+        :class:`~repro.exceptions.ProtocolError` raised here was raised
+        locally (a request past the frame cap), so the healthy connection
+        stays cached.
+        """
+        client = self.get(address)
+        try:
+            return client.call_many(requests)
+        except ProtocolError:
+            raise
+        except (TransportError, OSError):
+            self.drop(address, client)
+            raise
+
+    def drop(self, address: Address, client: Optional[RemoteServerClient] = None) -> None:
+        """Close and forget the connection to ``address`` (only if it is ``client``)."""
+        with self._lock:
+            installed = self._clients.get(address)
+            if installed is None or (client is not None and installed is not client):
+                return
+            del self._clients[address]
+        installed.close()
+
+    def close(self) -> None:
+        with self._lock:
+            clients = list(self._clients.values())
+            self._clients.clear()
+        for client in clients:
+            client.close()
+
+
 class _ShardedTokenStore:
     """Token-store facade routing grant/envelope traffic to the owning shard."""
 
@@ -1174,23 +1185,19 @@ class ShardedServerClient:
         host: str,
         port: int,
         timeout: float = 30.0,
-        flow_control: bool = True,
         overload_retries: int = 4,
-        zero_copy: bool = True,
         compression: bool = False,
         tracing: bool = False,
     ) -> None:
         self._router_address = (host, port)
-        self._timeout = timeout
-        self._flow_control = bool(flow_control)
-        self._overload_retries = max(0, int(overload_retries))
-        self._zero_copy = bool(zero_copy)
-        self._compression = bool(compression)
-        self._tracing = bool(tracing)
-        self._lock = threading.Lock()
-        self._router: Optional[RemoteServerClient] = None
-        self._engines: Dict[str, Tuple[Tuple[str, int], RemoteServerClient]] = {}
-        self._table = self._table_from_hello(self._router_client())
+        #: The router and every engine shard, keyed by address.
+        self._connections = ConnectionCache(
+            timeout=timeout,
+            overload_retries=max(0, int(overload_retries)),
+            compression=bool(compression),
+            tracing=bool(tracing),
+        )
+        self._table = self._table_from_hello(self._connections.get(self._router_address))
         self.token_store = _ShardedTokenStore(self)
 
     # -- table management -------------------------------------------------------
@@ -1211,10 +1218,10 @@ class ShardedServerClient:
     def routing_epoch(self) -> int:
         return self._table.epoch
 
-    def _fetch_table(self, client: RemoteServerClient) -> Optional[ShardRoutingTable]:
+    def _fetch_table(self, address: Address) -> Optional[ShardRoutingTable]:
         """Ask one peer for its current table; ``None`` on any failure."""
         try:
-            response = client.call_many([Request("routing_table")])[0]
+            response = self._connections.call_many(address, [Request("routing_table")])[0]
         except (TransportError, OSError):
             return None
         payload = response.result.get("routing") if response.ok else None
@@ -1233,97 +1240,27 @@ class ShardedServerClient:
         return True
 
     def _refresh_table(self) -> bool:
-        """Refresh from the router (redialling once), else from any live shard."""
+        """Refresh from the router (redialling once), else from any connected shard."""
         for _attempt in range(2):
-            try:
-                client = self._router_client()
-            except (TransportError, OSError):
-                self._drop_router()
-                continue
-            table = self._fetch_table(client)
-            if table is None:
-                self._drop_router()
-                continue
-            return self._adopt_table(table)
+            table = self._fetch_table(self._router_address)
+            if table is not None:
+                return self._adopt_table(table)
         for name in self._table.engine_names:
-            with self._lock:
-                cached = self._engines.get(name)
-            if cached is None:
+            address = self._table.address_of(name)
+            if self._connections.peek(address) is None:
                 continue
-            table = self._fetch_table(cached[1])
+            table = self._fetch_table(address)
             if table is not None:
                 return self._adopt_table(table)
         return False
 
     # -- connections ------------------------------------------------------------
 
-    def _router_client(self) -> RemoteServerClient:
-        with self._lock:
-            if self._router is not None:
-                return self._router
-        # Dial outside the lock, like _engine_client below: a dead router
-        # must not wedge threads that only need an already-cached transport.
-        client = RemoteServerClient(
-            self._router_address[0],
-            self._router_address[1],
-            timeout=self._timeout,
-            flow_control=self._flow_control,
-            overload_retries=self._overload_retries,
-            zero_copy=self._zero_copy,
-            compression=self._compression,
-            tracing=self._tracing,
-        )
-        with self._lock:
-            if self._router is None:
-                self._router = client
-                return client
-            winner = self._router
-        # Lost a concurrent dial race: keep the installed transport.
-        client.close()
-        return winner
-
-    def _drop_router(self) -> None:
-        with self._lock:
-            router, self._router = self._router, None
-        if router is not None:
-            router.close()
-
     def _engine_client(self, name: str) -> RemoteServerClient:
-        address = self._table.address_of(name)
-        with self._lock:
-            cached = self._engines.get(name)
-            if cached is not None and cached[0] == address:
-                return cached[1]
-            stale = self._engines.pop(name, None)
-        if stale is not None:
-            stale[1].close()
-        client = RemoteServerClient(
-            address[0],
-            address[1],
-            timeout=self._timeout,
-            flow_control=self._flow_control,
-            overload_retries=self._overload_retries,
-            zero_copy=self._zero_copy,
-            compression=self._compression,
-            tracing=self._tracing,
-        )
-        with self._lock:
-            self._engines[name] = (address, client)
-        return client
-
-    def _drop_engine(self, name: str) -> None:
-        with self._lock:
-            cached = self._engines.pop(name, None)
-        if cached is not None:
-            cached[1].close()
+        return self._connections.get(self._table.address_of(name))
 
     def close(self) -> None:
-        self._drop_router()
-        with self._lock:
-            engines = [client for _address, client in self._engines.values()]
-            self._engines.clear()
-        for client in engines:
-            client.close()
+        self._connections.close()
 
     def __enter__(self) -> "ShardedServerClient":
         return self
@@ -1335,23 +1272,9 @@ class ShardedServerClient:
     def wire_stats(self) -> WireStats:
         """Aggregate wire accounting across the router and all shard connections."""
         total = WireStats()
-        with self._lock:
-            clients = [client for _address, client in self._engines.values()]
-            if self._router is not None:
-                clients.append(self._router)
-        for client in clients:
-            stats = client.wire_stats
-            total.requests_sent += stats.requests_sent
-            total.responses_received += stats.responses_received
-            total.round_trips += stats.round_trips
-            total.batches_sent += stats.batches_sent
-            total.credit_stalls += stats.credit_stalls
-            total.overload_retries += stats.overload_retries
-            total.bytes_sent += stats.bytes_sent
-            total.bytes_received += stats.bytes_received
-            total.vectored_writes += stats.vectored_writes
-            total.frames_coalesced += stats.frames_coalesced
-            total.frames_compressed += stats.frames_compressed
+        for client in self._connections.clients():
+            for name, value in asdict(client.wire_stats).items():
+                setattr(total, name, getattr(total, name) + value)
         return total
 
     # -- routing ----------------------------------------------------------------
@@ -1374,13 +1297,11 @@ class ShardedServerClient:
                 owner = table.owner_of(stream_uuid)
             owner_hint = None
             try:
-                client = self._engine_client(owner)
-                response = client.call_many([request])[0]
+                response = self._connections.call_many(table.address_of(owner), [request])[0]
             except (TransportError, OSError):
                 logger.info(
                     "engine shard '%s' unreachable; refreshing table and redialling", owner
                 )
-                self._drop_engine(owner)
                 self._refresh_table()
                 continue
             if response.ok or response.error_type != "WrongShardError":
@@ -1403,15 +1324,15 @@ class ShardedServerClient:
 
     def ping(self) -> bool:
         """Liveness of the tier: the router, or failing that any live shard."""
-        try:
-            return self._router_client().ping()
-        except (TimeCryptError, OSError):
-            self._drop_router()
-        for name in self._table.engine_names:
+        table = self._table
+        addresses = [self._router_address] + [table.address_of(name) for name in table.engine_names]
+        for address in addresses:
             try:
-                return self._engine_client(name).ping()
+                response = self._connections.call_many(address, [Request("ping")])[0]
             except (TimeCryptError, OSError):
-                self._drop_engine(name)
+                continue
+            if response.ok:
+                return bool(response.result.get("pong"))
         return False
 
     # -- ServerEngine-compatible surface ----------------------------------------

@@ -1,44 +1,32 @@
-"""Length-prefixed framing over byte streams, in two protocol versions.
+"""Length-prefixed, correlation-id framing over byte streams.
 
-**v1** (the original lockstep wire): ``magic b"TC" (2B) || length (4B,
-big-endian) || payload``.  Responses implicitly correlate with requests by
-arrival order, so a v1 connection can only have one request in flight.
-
-**v2** (the pipelined wire): ``magic b"T2" (2B) || version (1B) ||
-correlation id (8B, big-endian) || length (4B, big-endian) || payload``.
-Every request carries a connection-unique correlation id that the server
-echoes on the matching response, so many requests can be in flight at once
-and responses may arrive out of order.  The version byte leaves room for
-future header revisions without another magic change.
-
-The two magics are disjoint, so a peer can serve both versions on one
-socket by looking at the first two bytes of each frame —
-:func:`read_any_frame` and :class:`FrameAssembler` do exactly that.  Frames
-are capped at 64 MiB — far above any legitimate TimeCrypt message — to stop
-a malformed or malicious peer from forcing huge allocations.
+Every frame is ``magic b"T2" (2B) || version (1B) || correlation id (8B,
+big-endian) || length (4B, big-endian) || payload``.  Each request carries
+a connection-unique correlation id that the server echoes on the matching
+response, so many requests can be in flight at once and responses may
+arrive out of order.  The version byte leaves room for future header
+revisions without another magic change.  Frames are capped at 64 MiB — far
+above any legitimate TimeCrypt message — and the cap is checked on the
+declared length before any payload buffer is allocated, so a malformed or
+malicious peer cannot force huge allocations.
 
 Zero-copy memory path
 ---------------------
 
-Large payloads (encrypted chunk batches, ``get_range`` responses) used to be
-materialized 3+ times between ``Request.encode()`` and ``sendall``.  The
-segment API avoids that: :func:`encode_frame_segments_v2` returns the frame
-as ``[packed_header, *message_segments]`` without concatenating, and
-:func:`write_vectored` hands the segment list to ``socket.sendmsg`` in
-IOV_MAX-sized groups, coalescing only runs of small segments so tiny frames
-still cost one syscall.  On the read side :class:`FrameReader` and
-:class:`FrameAssembler` fill one dedicated buffer per payload via
-``recv_into``/slice assignment and can yield read-only memoryviews, so
-decoding attaches views instead of slicing copies.
+:func:`encode_frame_segments_v2` returns a frame as ``[packed_header,
+*message_segments]`` without concatenating, and :func:`write_vectored` hands
+the segment list to ``socket.sendmsg`` in IOV_MAX-sized groups, coalescing
+only runs of small segments so tiny frames still cost one syscall.  On the
+read side :class:`FrameReader` and :class:`FrameAssembler` fill one
+dedicated buffer per payload via ``recv_into``/slice assignment and yield
+read-only memoryviews, so decoding attaches views instead of slicing copies.
 
 **Copy accounting.**  ``MEMORY_COUNTERS`` counts *full-payload
 materializations after the bytes first exist in user space* (encode: after
 the payload exists as attachment objects; decode: after the bytes land from
-the kernel).  The legacy path costs 3 on encode (message join, frame concat,
-batch join) and up to 3 on decode (assembler append, ``bytes()`` slice, per
--attachment slices); the segment path costs 0 on encode and at most 1 on
-decode (the assembler's copy-in; the direct ``recv_into`` reader costs 0).
-The counters are deterministic for a fixed call sequence, which is what
+the kernel).  Encoding costs 0 and decoding at most 1 (the assembler's
+copy-in; the direct ``recv_into`` reader costs 0).  The counters are
+deterministic for a fixed call sequence, which is what
 ``benchmarks/bench_wire_memory.py`` gates on.
 """
 
@@ -48,16 +36,16 @@ import os
 import socket
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, List, Sequence, Tuple, Union
+from typing import BinaryIO, List, Sequence, Tuple, Union
 
 from repro.exceptions import ProtocolError, TransportError
 
-MAGIC = b"TC"
 MAGIC_V2 = b"T2"
 PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-_HEADER = struct.Struct(">2sI")
 _HEADER_V2 = struct.Struct(">2sBQI")
+#: Bytes of framing around every payload on the wire.
+FRAME_HEADER_BYTES = _HEADER_V2.size
 
 #: Segments smaller than this are coalesced into one buffer before being
 #: handed to ``sendmsg``, so a burst of tiny frames still costs one syscall
@@ -90,7 +78,6 @@ class WireMemoryCounters:
     payload_copies: int = 0
     syscalls: int = 0
     vectored_writes: int = 0
-    sendall_writes: int = 0
     frames_coalesced: int = 0
     bytes_written: int = 0
 
@@ -98,7 +85,6 @@ class WireMemoryCounters:
         self.payload_copies = 0
         self.syscalls = 0
         self.vectored_writes = 0
-        self.sendall_writes = 0
         self.frames_coalesced = 0
         self.bytes_written = 0
 
@@ -107,7 +93,6 @@ class WireMemoryCounters:
             "payload_copies": self.payload_copies,
             "syscalls": self.syscalls,
             "vectored_writes": self.vectored_writes,
-            "sendall_writes": self.sendall_writes,
             "frames_coalesced": self.frames_coalesced,
             "bytes_written": self.bytes_written,
         }
@@ -125,25 +110,22 @@ from repro.obs.metrics import REGISTRY as _METRICS_REGISTRY  # noqa: E402
 _METRICS_REGISTRY.register(
     "wire.memory",
     MEMORY_COUNTERS,
-    deterministic=("payload_copies", "vectored_writes", "sendall_writes", "frames_coalesced"),
+    deterministic=("payload_copies", "vectored_writes", "frames_coalesced"),
 )
 
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded wire frame: protocol version, correlation id, payload.
+    """One decoded wire frame: correlation id and payload.
 
-    v1 frames have no correlation id on the wire; they decode with
-    ``correlation_id == 0`` and correlate by arrival order instead.  On the
-    zero-copy read paths ``payload`` is a read-only :class:`memoryview` over
-    a buffer dedicated to this frame (never reused), so holding the view is
-    memory-safe — but views are unhashable and refuse ``.decode()``; call
-    ``bytes()`` at any boundary that retains or keys on the payload.
+    ``payload`` is a read-only :class:`memoryview` over a buffer dedicated
+    to this frame (never reused), so holding the view is memory-safe — but
+    views are unhashable and refuse ``.decode()``; call ``bytes()`` at any
+    boundary that retains or keys on the payload.
     """
 
-    version: int
     correlation_id: int
-    payload: Union[bytes, memoryview]
+    payload: memoryview
 
 
 def _read_exact_into(source: Readable, view: memoryview) -> None:
@@ -171,35 +153,6 @@ def _read_exact_into(source: Readable, view: memoryview) -> None:
             raise TransportError("connection closed mid-frame")
         view[filled : filled + len(chunk)] = chunk
         filled += len(chunk)
-
-
-def _read_buffer(source: Readable, length: int) -> bytearray:
-    """Read exactly ``length`` bytes into a fresh, dedicated buffer."""
-    buffer = bytearray(length)
-    if length:
-        _read_exact_into(source, memoryview(buffer))
-    return buffer
-
-
-def _read_exact(source: Readable, length: int) -> bytes:
-    """Read exactly ``length`` bytes from a socket or file-like object.
-
-    Legacy shim: materializes a ``bytes`` copy of the read buffer (counted).
-    The zero-copy paths use :func:`_read_buffer` / :class:`FrameReader`.
-    """
-    MEMORY_COUNTERS.payload_copies += 1
-    return bytes(_read_buffer(source, length))
-
-
-def _send(sink: Readable, data: Segment) -> None:
-    if isinstance(sink, socket.socket):
-        sink.sendall(data)
-    else:
-        sink.write(data)
-        sink.flush()
-    MEMORY_COUNTERS.syscalls += 1
-    MEMORY_COUNTERS.sendall_writes += 1
-    MEMORY_COUNTERS.bytes_written += len(data)
 
 
 def write_vectored(sink: Readable, segments: Sequence[Segment]) -> Tuple[int, int, int]:
@@ -269,74 +222,45 @@ def _check_length(length: int) -> None:
         raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
 
 
-def _segments_length(segments: Iterable[Segment]) -> int:
-    return sum(len(segment) for segment in segments)
-
-
-def encode_frame(payload: Segment) -> bytes:
-    """Encode one v1 frame (legacy: concatenates a full-payload copy)."""
-    _check_length(len(payload))
-    MEMORY_COUNTERS.payload_copies += 1
-    return _HEADER.pack(MAGIC, len(payload)) + bytes(payload)
-
-
-def encode_frame_v2(correlation_id: int, payload: Segment) -> bytes:
-    """Encode one v2 frame carrying a correlation id (legacy: one copy)."""
-    _check_length(len(payload))
-    _check_correlation_id(correlation_id)
-    MEMORY_COUNTERS.payload_copies += 1
-    return _HEADER_V2.pack(MAGIC_V2, PROTOCOL_VERSION, correlation_id, len(payload)) + bytes(payload)
-
-
 def _check_correlation_id(correlation_id: int) -> None:
     if not 0 <= correlation_id < 1 << 64:
         raise ProtocolError(f"correlation id {correlation_id} outside the 64-bit range")
 
 
+def _parse_header(header: Segment) -> Tuple[int, int]:
+    """Validate a complete 15-byte header; returns ``(correlation_id, length)``.
+
+    The length is checked against the frame cap here, before any caller
+    allocates a payload buffer for it.
+    """
+    magic, version, correlation_id, length = _HEADER_V2.unpack_from(header)
+    if magic != MAGIC_V2:
+        raise ProtocolError(f"bad frame magic {magic!r}")
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(f"unsupported frame version {version}")
+    _check_length(length)
+    return correlation_id, length
+
+
 def encode_frame_segments_v2(
     correlation_id: int, segments: Sequence[Segment]
 ) -> List[Segment]:
-    """Encode one v2 frame as ``[packed_header, *segments]`` — no copies.
+    """Encode one frame as ``[packed_header, *segments]`` — no copies.
 
     ``segments`` is the message-segment list from
     :func:`repro.net.messages.encode_message_segments`; attachments pass
     through by reference and go to the wire via :func:`write_vectored`.
     """
-    length = _segments_length(segments)
+    length = sum(len(segment) for segment in segments)
     _check_length(length)
     _check_correlation_id(correlation_id)
     header = _HEADER_V2.pack(MAGIC_V2, PROTOCOL_VERSION, correlation_id, length)
     return [header, *segments]
 
 
-def write_frame(sink: Readable, payload: Segment) -> None:
-    """Write one v1 framed message."""
-    _send(sink, encode_frame(payload))
-
-
-def write_frame_v2(sink: Readable, correlation_id: int, payload: Segment) -> None:
-    """Write one v2 framed message."""
-    _send(sink, encode_frame_v2(correlation_id, payload))
-
-
-def read_frame(source: Readable) -> bytes:
-    """Read one v1 framed message; raises on EOF, bad magic, or oversized frames."""
-    header = bytes(_read_buffer(source, _HEADER.size))
-    magic, length = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad frame magic {magic!r}")
-    _check_length(length)
-    return _read_exact(source, length)
-
-
-def read_any_frame(source: Readable, views: bool = False) -> Frame:
-    """Read one frame of either protocol version.
-
-    The first two bytes select the header layout; v1 frames come back with
-    ``correlation_id == 0``.  With ``views=True`` the payload is a read-only
-    memoryview over a buffer dedicated to this frame.
-    """
-    return FrameReader(source, views=views).read()
+def encode_frame_v2(correlation_id: int, payload: Segment) -> bytes:
+    """One frame as a single buffer (the joined :func:`encode_frame_segments_v2`)."""
+    return b"".join(encode_frame_segments_v2(correlation_id, [payload]))
 
 
 class FrameReader:
@@ -345,63 +269,43 @@ class FrameReader:
     The client reader thread pulls frames through one of these: headers land
     in a 15-byte scratch via ``recv_into`` (no per-read allocation) and each
     payload is read straight into its own exact-size buffer — zero user-space
-    copies after the kernel hands the bytes over.  With ``views=False`` the
-    payload is materialized as ``bytes`` (one counted copy, the legacy
-    contract).
+    copies after the kernel hands the bytes over.
     """
 
-    def __init__(self, source: Readable, views: bool = False) -> None:
+    def __init__(self, source: Readable) -> None:
         self._source = source
-        self._views = views
         self._scratch = bytearray(_HEADER_V2.size)
 
     def read(self) -> Frame:
         scratch = memoryview(self._scratch)
         _read_exact_into(self._source, scratch[:2])
-        magic = scratch[:2]
-        if magic == MAGIC:
-            _read_exact_into(self._source, scratch[2 : _HEADER.size])
-            _, length = _HEADER.unpack_from(scratch)
-            _check_length(length)
-            return Frame(version=1, correlation_id=0, payload=self._payload(length))
-        if magic == MAGIC_V2:
-            _read_exact_into(self._source, scratch[2:])
-            _, version, correlation_id, length = _HEADER_V2.unpack_from(scratch)
-            if version != PROTOCOL_VERSION:
-                raise ProtocolError(f"unsupported v2 frame version {version}")
-            _check_length(length)
-            return Frame(version=version, correlation_id=correlation_id, payload=self._payload(length))
-        raise ProtocolError(f"bad frame magic {bytes(magic)!r}")
-
-    def _payload(self, length: int) -> Union[bytes, memoryview]:
-        buffer = _read_buffer(self._source, length)
-        if self._views:
-            return memoryview(buffer).toreadonly()
-        MEMORY_COUNTERS.payload_copies += 1
-        return bytes(buffer)
+        if scratch[:2] != MAGIC_V2:
+            # Fail on the magic alone: a peer speaking something else must
+            # not be waited on for thirteen more header bytes.
+            raise ProtocolError(f"bad frame magic {bytes(scratch[:2])!r}")
+        _read_exact_into(self._source, scratch[2:])
+        correlation_id, length = _parse_header(scratch)
+        buffer = bytearray(length)
+        if length:
+            _read_exact_into(self._source, memoryview(buffer))
+        return Frame(correlation_id=correlation_id, payload=memoryview(buffer).toreadonly())
 
 
 class FrameAssembler:
-    """Incremental frame parser for non-lockstep servers.
+    """Incremental frame parser for the selector-driven server.
 
-    The selector-driven server reads whatever bytes a socket has ready and
-    feeds them here; :meth:`feed` returns every frame completed by the new
-    bytes (possibly none, possibly several).  Both protocol versions are
-    accepted, interleaved freely on one connection.
+    The server reads whatever bytes a socket has ready and feeds them here;
+    :meth:`feed` returns every frame completed by the new bytes (possibly
+    none, possibly several).
 
     Each payload is assembled into a buffer dedicated to that frame (the one
     counted decode copy), so the feed buffer can be reused by the caller and
-    — with ``views=True`` — emitted frames carry read-only memoryviews that
-    stay valid for as long as anything holds them.  Header bytes accumulate
-    in a small scratch that is compared in place (no ``bytes(buffer[:2])``
-    allocation per partial feed).
+    emitted frames carry read-only memoryviews that stay valid for as long
+    as anything holds them.  Header bytes accumulate in a small scratch.
     """
 
-    def __init__(self, views: bool = False) -> None:
-        self._views = views
+    def __init__(self) -> None:
         self._header = bytearray()
-        #: Set once the header is complete: (version, correlation_id, target).
-        self._version = 0
         self._correlation_id = 0
         self._payload: bytearray = bytearray()
         self._payload_len = -1  # -1: still reading the header
@@ -425,64 +329,30 @@ class FrameAssembler:
             if self._filled < self._payload_len:
                 return frames
             frames.append(self._emit())
-            if not len(view) and not self._header:
+            if not len(view):
                 return frames
-            # More bytes remain in the input (or spilled past the previous
-            # frame into the header scratch): keep parsing.
 
     def _feed_header(self, view: memoryview) -> memoryview:
         """Consume header bytes from ``view``; returns the unconsumed rest."""
         header = self._header
-        need = _HEADER_V2.size - len(header)  # upper bound; v1 needs less
-        take = min(len(view), need)
+        take = min(len(view), _HEADER_V2.size - len(header))
         header += view[:take]
-        view = view[take:]
-        if len(header) < 2:
-            return view
-        if header.startswith(MAGIC):
-            if len(header) < _HEADER.size:
-                return view
-            _, length = _HEADER.unpack_from(header)
-            _check_length(length)
-            self._begin_payload(1, 0, length, header, _HEADER.size)
-        elif header.startswith(MAGIC_V2):
-            if len(header) < _HEADER_V2.size:
-                return view
-            _, version, correlation_id, length = _HEADER_V2.unpack_from(header)
-            if version != PROTOCOL_VERSION:
-                raise ProtocolError(f"unsupported v2 frame version {version}")
-            _check_length(length)
-            self._begin_payload(version, correlation_id, length, header, _HEADER_V2.size)
-        else:
+        if len(header) >= 2 and not header.startswith(MAGIC_V2):
             raise ProtocolError(f"bad frame magic {bytes(header[:2])!r}")
-        return view
-
-    def _begin_payload(
-        self, version: int, correlation_id: int, length: int, header: bytearray, header_size: int
-    ) -> None:
-        self._version = version
-        self._correlation_id = correlation_id
-        self._payload = bytearray(length)
-        self._payload_len = length
-        # A v1 header is shorter than the scratch upper bound, so bytes of
-        # the *next* frame may already sit past it; spill them as payload.
-        spill = header[header_size:]
-        self._filled = min(len(spill), length)
-        if self._filled:
-            self._payload[: self._filled] = spill[: self._filled]
-        leftover = spill[self._filled :]
-        header.clear()
-        header += leftover
+        if len(header) == _HEADER_V2.size:
+            self._correlation_id, length = _parse_header(header)
+            header.clear()
+            self._payload = bytearray(length)
+            self._payload_len = length
+            self._filled = 0
+        return view[take:]
 
     def _emit(self) -> Frame:
         MEMORY_COUNTERS.payload_copies += 1
-        buffer = self._payload
-        if self._views:
-            payload: Union[bytes, memoryview] = memoryview(buffer).toreadonly()
-        else:
-            MEMORY_COUNTERS.payload_copies += 1
-            payload = bytes(buffer)
-        frame = Frame(version=self._version, correlation_id=self._correlation_id, payload=payload)
+        frame = Frame(
+            correlation_id=self._correlation_id,
+            payload=memoryview(self._payload).toreadonly(),
+        )
         self._payload = bytearray()
         self._payload_len = -1
         self._filled = 0

@@ -5,12 +5,11 @@ chunk ingest (scalar and bulk), raw range retrieval, statistical queries
 (single and multi-stream), grant/envelope pickup (scalar and burst), and
 rollup.  A second op family (``kv_*``) carries the raw key-value store
 contract for remote storage nodes, so the same framing/pipelining serves
-both the engine tier and the storage tier.  ``hello`` negotiates the
-protocol: the server answers with its
-protocol version and the operations its dispatcher supports, so clients can
-pick the pipelined v2 framing and the ``multi_*``-style batch ops without
-probing.  Messages are encoded as a JSON header plus optional binary
-attachments:
+both the engine tier and the storage tier.  ``hello`` negotiates
+capabilities: the server answers with its protocol version, credit window
+and the operations its dispatcher supports, so clients can use the
+``multi_*``-style batch ops without probing.  Messages are encoded as a
+JSON header object plus optional binary attachments:
 
 ``frame = varint(header_len) || header_json || attachments``
 
@@ -185,7 +184,7 @@ def peek_operation(payload: Buffer) -> Optional[str]:
         header_len, pos = decode_varint(payload, 0)
         if header_len == 0:
             raw_len, pos = decode_varint(payload, pos)
-            if raw_len > MAX_FRAME_BYTES:
+            if not 0 < raw_len <= MAX_FRAME_BYTES:
                 return None
             head = zlib.decompressobj().decompress(
                 bytes(payload[pos:]), min(raw_len, _PEEK_DECOMPRESS_LIMIT)
@@ -198,7 +197,7 @@ def peek_operation(payload: Buffer) -> Optional[str]:
             return None
         header = json.loads(bytes(payload[pos : pos + header_len]).decode("utf-8"))
         operation = header.get("op")
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError, AttributeError, zlib.error):
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError, zlib.error):
         return None
     return operation if isinstance(operation, str) else None
 
@@ -216,12 +215,6 @@ def encode_message_segments(
     header["attachment_lengths"] = [len(blob) for blob in attachments]
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     return [encode_varint(len(header_bytes)) + header_bytes, *attachments]
-
-
-def _encode_message(header: Dict[str, Any], attachments: Sequence[Buffer]) -> bytes:
-    """Legacy single-buffer encoding: joins the segments (one counted copy)."""
-    MEMORY_COUNTERS.payload_copies += 1
-    return b"".join(encode_message_segments(header, attachments))
 
 
 def compress_message(payload: Buffer, level: int = 6) -> bytes:
@@ -250,6 +243,10 @@ def _decompress_message(payload: Buffer, pos: int) -> bytes:
     raw_len, pos = decode_varint(payload, pos)
     if raw_len > MAX_FRAME_BYTES:
         raise ProtocolError(f"compressed message declares {raw_len} raw bytes, above the frame cap")
+    if raw_len == 0:
+        # zlib reads a zero output limit as "unbounded": refuse it before
+        # a hostile frame can inflate past the cap.
+        raise ProtocolError("compressed message declares an empty body")
     decompressor = zlib.decompressobj()
     try:
         raw = decompressor.decompress(bytes(payload[pos:]), raw_len)
@@ -273,11 +270,16 @@ def _decode_message(payload: Buffer) -> tuple[Dict[str, Any], List[Buffer]]:
         header_len, pos = decode_varint(payload, 0)
         if header_len == 0:
             # Compressed sentinel — expand (a copy, inherent to the scheme)
-            # and decode the raw bytes.
-            return _decode_message(_decompress_message(payload, pos))
+            # and decode the raw bytes, which must not be compressed again.
+            payload = _decompress_message(payload, pos)
+            header_len, pos = decode_varint(payload, 0)
+            if header_len == 0:
+                raise ProtocolError("compressed message nests another compressed message")
         if header_len > len(payload) - pos:
             raise ProtocolError(f"header length {header_len} exceeds the {len(payload)}-byte payload")
         header = json.loads(bytes(payload[pos : pos + header_len]).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ProtocolError(f"message header must be a JSON object, not {type(header).__name__}")
         pos += header_len
         lengths = header.get("attachment_lengths", [])
         if not isinstance(lengths, list):
@@ -296,7 +298,7 @@ def _decode_message(payload: Buffer) -> tuple[Dict[str, Any], List[Buffer]]:
         if copied:
             MEMORY_COUNTERS.payload_copies += 1
         return header, attachments
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ProtocolError("malformed protocol message") from exc
 
 
@@ -322,8 +324,8 @@ class Request:
     attachments: List[Buffer] = field(default_factory=list)
     #: Optional trace context ``(trace_id, parent_span_id)``.  Serialized as a
     #: ``trace`` header key only when set, so untraced requests are
-    #: byte-identical to the pre-tracing wire form; v1 peers and servers that
-    #: did not negotiate ``tracing`` in ``hello`` ignore the key (``decode``
+    #: byte-identical to the pre-tracing wire form; servers that did not
+    #: negotiate ``tracing`` in ``hello`` ignore the key (``decode``
     #: tolerates unknown header keys by construction).
     trace: Optional[Tuple[str, str]] = None
 
@@ -338,7 +340,8 @@ class Request:
         return header
 
     def encode(self) -> bytes:
-        return _encode_message(self._header(), self.attachments)
+        """The whole message as one buffer — the reference form of :meth:`encode_segments`."""
+        return b"".join(self.encode_segments())
 
     def encode_segments(self) -> List[Buffer]:
         """Segment form for the vectored send path — attachments uncopied."""
@@ -349,6 +352,9 @@ class Request:
         header, attachments = _decode_message(payload)
         if "op" not in header:
             raise ProtocolError("request missing operation")
+        args = header.get("args", {})
+        if not isinstance(args, dict):
+            raise ProtocolError("request args must be a JSON object")
         trace = header.get("trace")
         if (
             not isinstance(trace, list)
@@ -358,7 +364,7 @@ class Request:
             trace = None
         return Request(
             operation=header["op"],
-            args=header.get("args", {}),
+            args=args,
             attachments=attachments,
             trace=(trace[0], trace[1]) if trace is not None else None,
         )
@@ -373,10 +379,9 @@ class Response:
     attachments: List[Buffer] = field(default_factory=list)
     error: Optional[str] = None
     error_type: Optional[str] = None
-    #: Flow-control credits returned to the sender with this response.  A
-    #: server that advertised a credit window in ``hello`` piggybacks one
-    #: grant per answered frame here; v1 peers and pre-credit clients ignore
-    #: the field (``decode`` tolerates unknown header keys by construction).
+    #: Flow-control credits returned to the sender with this response: the
+    #: server piggybacks one grant per answered frame here, refilling the
+    #: credit window it advertised in ``hello``.
     credit_grant: Optional[int] = None
 
     def _header(self) -> Dict[str, Any]:
@@ -389,7 +394,8 @@ class Response:
         return header
 
     def encode(self) -> bytes:
-        return _encode_message(self._header(), self.attachments)
+        """The whole message as one buffer — the reference form of :meth:`encode_segments`."""
+        return b"".join(self.encode_segments())
 
     def encode_segments(self) -> List[Buffer]:
         """Segment form for the vectored send path — attachments uncopied."""
@@ -398,13 +404,19 @@ class Response:
     @staticmethod
     def decode(payload: Buffer) -> "Response":
         header, attachments = _decode_message(payload)
+        result = header.get("result", {})
+        error, error_type = header.get("error"), header.get("error_type")
+        if not isinstance(result, dict):
+            raise ProtocolError("response result must be a JSON object")
+        if not all(field is None or isinstance(field, str) for field in (error, error_type)):
+            raise ProtocolError("response error fields must be strings")
         credits = header.get("credits")
         return Response(
             ok=bool(header.get("ok", False)),
-            result=header.get("result", {}),
+            result=result,
             attachments=attachments,
-            error=header.get("error"),
-            error_type=header.get("error_type"),
+            error=error,
+            error_type=error_type,
             credit_grant=int(credits) if isinstance(credits, int) and credits > 0 else None,
         )
 

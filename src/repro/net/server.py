@@ -8,27 +8,21 @@ frames, and each complete frame is dispatched on a shared
 ``ThreadPoolExecutor`` — so request handling no longer scales one thread
 per connection, and a slow request only occupies one pool slot.
 
-Both framing versions are served on every connection:
+Frames carry a correlation id, so they are dispatched concurrently and
+their responses are written (under the per-connection write lock) whenever
+they finish — out of order is expected and correct, the client matches
+responses by correlation id.
 
-* **v2 frames** carry a correlation id; they are dispatched concurrently
-  and their responses are written (under the per-connection write lock)
-  whenever they finish — out of order is expected and correct, the client
-  matches responses by correlation id.
-* **v1 frames** have no correlation id, so their responses must arrive in
-  request order; per connection they run strictly one at a time through a
-  FIFO queue (still on the pool, never blocking the I/O loop).
-
-v2 dispatch is **scheduled**, not FIFO: every frame is classified
-interactive or bulk (:func:`~repro.net.messages.classify_operation`) into
-one of two *bounded* queues drained weighted-round-robin by the worker
-pool, so a small ``stat_range`` never waits behind a whole ingest burst.
-A full queue sheds the frame with a typed ``overloaded`` response carrying
-a retry-after hint — never silent latency or dead air.  Backpressure is
-credit-based: ``hello`` advertises an initial per-connection window,
-every v2 response returns one credit (the ``credits`` header field), and
-a well-behaved client caps its in-flight frames at the window
-(``scheduling="fifo"`` restores the legacy unbounded direct-submit path
-for comparison benchmarks).
+Dispatch is **scheduled**: every frame is classified interactive or bulk
+(:func:`~repro.net.messages.classify_operation`) into one of two *bounded*
+queues drained weighted-round-robin by the worker pool, so a small
+``stat_range`` never waits behind a whole ingest burst.  A full queue sheds
+the frame with a typed ``overloaded`` response carrying a retry-after hint
+— never silent latency or dead air.  Backpressure is credit-based:
+``hello`` advertises a per-connection window (at least one credit), every
+response returns one credit (the ``credits`` header field), and the client
+caps its in-flight frames at the window.  Responses go out through
+``sendmsg`` as header + attachment views, never concatenated.
 
 The dispatcher is also usable without sockets through
 :class:`RequestDispatcher`, which the in-process transport and the tests
@@ -57,9 +51,7 @@ from repro.net.framing import (
     PROTOCOL_VERSION,
     Frame,
     FrameAssembler,
-    encode_frame,
     encode_frame_segments_v2,
-    encode_frame_v2,
     write_vectored,
 )
 from repro.net.messages import (
@@ -452,11 +444,11 @@ class SchedulerStats:
     shed_bulk: int = 0
     max_depth_interactive: int = 0
     max_depth_bulk: int = 0
-    #: Highest in-flight v2 frame count observed on any single connection —
+    #: Highest in-flight frame count observed on any single connection —
     #: a credit-respecting client keeps this at or below the advertised window.
     max_in_flight: int = 0
-    #: Wire-memory counters, filled in by the owning transport (they count in
-    #: FIFO mode too): bytes on the wire each way, responses shipped through
+    #: Wire-memory counters, filled in by the owning transport: bytes on the
+    #: wire each way, responses shipped through
     #: ``write_vectored``, small segments it merged, and responses sent in
     #: the negotiated compressed form.
     bytes_sent: int = 0
@@ -477,8 +469,8 @@ class _FrameScheduler:
     caller sheds it with a typed ``overloaded`` response.  Drain workers run
     on the shared ``ThreadPoolExecutor``; at most ``max_workers`` are active
     at once, and each yields its pool slot after ``yield_every`` frames so
-    v1 drains and shed replies queued behind it are never starved under
-    sustained load.  When both queues are non-empty, ``interactive_weight``
+    work queued behind it on the pool is never starved under sustained
+    load.  When both queues are non-empty, ``interactive_weight``
     interactive frames are dispatched per bulk frame.
     """
 
@@ -627,19 +619,19 @@ class _FrameScheduler:
                 pass
             processed += 1
             if processed >= self._yield_every:
-                # Re-submit instead of looping forever: gives pool slots back
-                # to v1 drains and shed replies under sustained load.
+                # Re-submit instead of looping forever: gives the pool slot
+                # back to other queued work under sustained load.
                 self._spawn()
                 return
 
 
 class _Connection:
-    """Per-connection transport state: socket, parser, write lock, v1 FIFO."""
+    """Per-connection transport state: socket, parser, write lock, in-flight count."""
 
-    def __init__(self, sock: socket.socket, address: Tuple[str, int], views: bool = False) -> None:
+    def __init__(self, sock: socket.socket, address: Tuple[str, int]) -> None:
         self.sock = sock
         self.address = address
-        self.assembler = FrameAssembler(views=views)
+        self.assembler = FrameAssembler()
         #: Reusable receive staging buffer for ``recv_into`` — safe to reuse
         #: because the assembler copies into per-frame payload buffers.
         self.recv_buffer = bytearray(1 << 16)
@@ -653,11 +645,7 @@ class _Connection:
         #: connections pay zero extra allocations per frame.
         self.tracing = False
         self.write_lock = threading.Lock()
-        #: v1 frames awaiting dispatch; guarded by ``state_lock``.  At most one
-        #: v1 frame per connection is ever on the pool, preserving response order.
-        self.v1_queue: Deque[Frame] = deque()
-        self.v1_active = False
-        #: v2 frames accepted but not yet answered; guarded by ``state_lock``.
+        #: Frames accepted but not yet answered; guarded by ``state_lock``.
         self.in_flight = 0
         self.state_lock = threading.Lock()
         self.closed = False
@@ -671,10 +659,9 @@ class TimeCryptTCPServer:
     not a thread.  A custom ``dispatcher`` may be injected (tests use this
     to add slow or failing operations).
 
-    v2 frames are admitted through a two-class weighted scheduler with
-    bounded queues and credit-based flow control (see the module docstring);
-    ``scheduling="fifo"`` restores the legacy unbounded direct-submit path
-    for before/after benchmarks, and ``credit_window=0`` disables credits.
+    Frames are admitted through a two-class weighted scheduler with
+    bounded queues and credit-based flow control (see the module
+    docstring); ``credit_window`` must be at least one.
     """
 
     def __init__(
@@ -684,13 +671,11 @@ class TimeCryptTCPServer:
         port: int = 0,
         max_workers: int = 8,
         dispatcher: Optional[WireDispatcher] = None,
-        scheduling: str = "weighted",
         credit_window: int = DEFAULT_CREDIT_WINDOW,
         interactive_queue_limit: int = DEFAULT_INTERACTIVE_QUEUE_LIMIT,
         bulk_queue_limit: int = DEFAULT_BULK_QUEUE_LIMIT,
         interactive_weight: int = DEFAULT_INTERACTIVE_WEIGHT,
         retry_after_ms: int = DEFAULT_RETRY_AFTER_MS,
-        zero_copy: bool = True,
         wire_compression: bool = False,
         compress_threshold: int = WIRE_COMPRESSION_THRESHOLD,
         tracing: bool = True,
@@ -702,12 +687,12 @@ class TimeCryptTCPServer:
             raise ValueError("the dispatch pool needs at least one worker")
         if dispatcher is None and engine is None:
             raise ValueError("either an engine or a dispatcher is required")
-        if scheduling not in ("weighted", "fifo"):
-            raise ValueError(f"unknown scheduling mode '{scheduling}'")
+        if credit_window < 1:
+            raise ValueError("the credit window needs at least one credit")
         self._engine = engine
         self._dispatcher = dispatcher if dispatcher is not None else RequestDispatcher(engine)
-        self._credit_window = max(0, int(credit_window or 0))
-        self._dispatcher.credit_window = self._credit_window or None
+        self._credit_window = int(credit_window)
+        self._dispatcher.credit_window = self._credit_window
         self._retry_after_ms = max(1, int(retry_after_ms))
         #: Tracing support: spans are recorded only for connections whose
         #: ``hello`` offered the capability, so ``tracing=True`` costs nothing
@@ -716,11 +701,6 @@ class TimeCryptTCPServer:
         self._tracing = bool(tracing)
         self._spans = span_collector if span_collector is not None else SPANS
         self._slow_request_ms = slow_request_ms
-        #: Zero-copy wire path: responses go out as header + attachment
-        #: views through ``sendmsg`` and inbound payloads decode as views
-        #: over per-frame buffers.  ``zero_copy=False`` is the legacy
-        #: concatenate-and-``sendall`` path, kept as the benchmark before-arm.
-        self._zero_copy = bool(zero_copy)
         self._wire_compression = bool(wire_compression)
         self._compress_threshold = max(1, int(compress_threshold))
         self._dispatcher.wire_compression = (
@@ -754,17 +734,13 @@ class TimeCryptTCPServer:
         # Shed replies must not queue behind the saturated dispatch pool — a
         # dedicated writer keeps the backpressure signal prompt under overload.
         self._shed_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tc-shed")
-        self._scheduler: Optional[_FrameScheduler] = (
-            _FrameScheduler(
-                self._pool,
-                self._handle_frame,
-                max_workers=max_workers,
-                interactive_limit=interactive_queue_limit,
-                bulk_limit=bulk_queue_limit,
-                interactive_weight=interactive_weight,
-            )
-            if scheduling == "weighted"
-            else None
+        self._scheduler = _FrameScheduler(
+            self._pool,
+            self._handle_frame,
+            max_workers=max_workers,
+            interactive_limit=interactive_queue_limit,
+            bulk_limit=bulk_queue_limit,
+            interactive_weight=interactive_weight,
         )
         self._connections: Set[_Connection] = set()
         self._doomed: Deque[_Connection] = deque()
@@ -788,15 +764,11 @@ class TimeCryptTCPServer:
     def scheduler_stats(self) -> Dict[str, int]:
         """A snapshot of the scheduler's deterministic counters.
 
-        Scheduler-class counters are zeros in FIFO mode; the wire-memory
-        counters (``bytes_sent``/``bytes_received``, ``vectored_writes``,
-        ``frames_coalesced``, ``frames_compressed``) are transport-level and
-        count in every mode.
+        The wire-memory counters (``bytes_sent``/``bytes_received``,
+        ``vectored_writes``, ``frames_coalesced``, ``frames_compressed``)
+        are merged in from the transport.
         """
-        if self._scheduler is None:
-            snapshot = SchedulerStats().snapshot()
-        else:
-            snapshot = self._scheduler.snapshot()
+        snapshot = self._scheduler.snapshot()
         with self._wire_lock:
             snapshot.update(self._wire_counters)
         return snapshot
@@ -868,7 +840,7 @@ class TimeCryptTCPServer:
         except OSError:
             return
         sock.setblocking(True)
-        connection = _Connection(sock, address, views=self._zero_copy)
+        connection = _Connection(sock, address)
         self._connections.add(connection)
         self._selector.register(sock, selectors.EVENT_READ, connection)
 
@@ -903,16 +875,10 @@ class TimeCryptTCPServer:
             self._close_connection(connection, unregister=True)
             return
         for frame in frames:
-            if frame.version == 1:
-                self._enqueue_v1(connection, frame)
-            else:
-                self._admit_v2(connection, frame)
+            self._admit(connection, frame)
 
-    def _admit_v2(self, connection: _Connection, frame: Frame) -> None:
-        """Classify and enqueue a v2 frame; shed it (typed) if its queue is full."""
-        if self._scheduler is None:
-            self._pool.submit(self._handle_frame, connection, frame)
-            return
+    def _admit(self, connection: _Connection, frame: Frame) -> None:
+        """Classify and enqueue a frame; shed it (typed) if its queue is full."""
         operation = peek_operation(frame.payload)
         klass = classify_operation(operation)
         with connection.state_lock:
@@ -970,24 +936,6 @@ class TimeCryptTCPServer:
 
     # -- dispatch ----------------------------------------------------------------------
 
-    def _enqueue_v1(self, connection: _Connection, frame: Frame) -> None:
-        """Queue a v1 frame; only one per connection runs at a time (ordering)."""
-        with connection.state_lock:
-            connection.v1_queue.append(frame)
-            if connection.v1_active:
-                return
-            connection.v1_active = True
-        self._pool.submit(self._drain_v1, connection)
-
-    def _drain_v1(self, connection: _Connection) -> None:
-        while True:
-            with connection.state_lock:
-                if not connection.v1_queue:
-                    connection.v1_active = False
-                    return
-                frame = connection.v1_queue.popleft()
-            self._handle_frame(connection, frame)
-
     def _handle_frame(self, connection: _Connection, frame: Frame, enqueue_ns: int = 0) -> None:
         # Everything tracing-related below is gated on the per-connection
         # negotiation flag: with tracing off this method allocates nothing
@@ -1012,8 +960,7 @@ class TimeCryptTCPServer:
             response = Response.failure(exc)
         except Exception as exc:  # noqa: BLE001 — a worker must never die unanswered
             # Anything a hostile or buggy peer can make decode/dispatch
-            # raise must still answer the correlation id (and, on a v1
-            # connection, must not kill the drain loop with v1_active stuck).
+            # raise must still answer the correlation id.
             response = Response.failure(
                 ProtocolError(f"malformed request: {type(exc).__name__}: {exc}")
             )
@@ -1070,8 +1017,8 @@ class TimeCryptTCPServer:
 
         Compression and tracing are each on only when *both* ends opt in: the
         transport enables the capability *and* this peer's ``hello`` offers
-        it.  v1 peers and clients that never offer stay on the byte-identical
-        legacy behaviour.
+        it.  Clients that never offer get byte-identical uncompressed,
+        untraced responses.
         """
         if self._tracing and request.args.get("tracing") is True:
             connection.tracing = True
@@ -1091,9 +1038,7 @@ class TimeCryptTCPServer:
         ``retry_after_ms`` constant, which only serves as the fallback before
         the scheduler has observed a drain interval.
         """
-        retry_after_ms = self._retry_after_ms
-        if self._scheduler is not None:
-            retry_after_ms = self._scheduler.retry_hint_ms(klass, default=retry_after_ms)
+        retry_after_ms = self._scheduler.retry_hint_ms(klass, default=self._retry_after_ms)
         error = OverloadedError(
             f"server overloaded: the {klass} queue is full", retry_after_ms=retry_after_ms
         )
@@ -1102,11 +1047,10 @@ class TimeCryptTCPServer:
         self._write_response(connection, frame, response)
 
     def _write_response(self, connection: _Connection, frame: Frame, response: Response) -> None:
-        if frame.version == 2 and self._credit_window:
-            # One credit back per answered frame: the sum of grants a client
-            # ever sees equals the frames the server accepted, so the window
-            # is conserved.
-            response.credit_grant = 1
+        # One credit back per answered frame: the sum of grants a client ever
+        # sees equals the frames the server accepted, so the window is
+        # conserved.
+        response.credit_grant = 1
         try:
             encoded = self._encode_response(connection, frame, response)
         except TimeCryptError as exc:
@@ -1117,24 +1061,15 @@ class TimeCryptTCPServer:
             fallback = Response.failure(exc)
             fallback.credit_grant = response.credit_grant
             encoded = self._encode_response(connection, frame, fallback)
-        if frame.version == 2 and self._scheduler is not None:
-            with connection.state_lock:
-                if connection.in_flight > 0:
-                    connection.in_flight -= 1
-        sent = vectored = coalesced = 0
+        with connection.state_lock:
+            if connection.in_flight > 0:
+                connection.in_flight -= 1
         try:
             with connection.write_lock:
                 if connection.closed:
                     return
-                if len(encoded) == 1:
-                    # Single pre-joined buffer (v1 / legacy mode): plain sendall.
-                    # repro: allow[REPRO004] write_lock is the per-connection response serializer; holding it across the socket write is its entire purpose
-                    connection.sock.sendall(encoded[0])
-                    sent = len(encoded[0])
-                else:
-                    # repro: allow[REPRO004] same per-connection write serialization as the sendall branch
-                    _syscalls, sent, coalesced = write_vectored(connection.sock, encoded)
-                    vectored = 1
+                # repro: allow[REPRO004] write_lock is the per-connection response serializer; holding it across the socket write is its entire purpose
+                _syscalls, sent, coalesced = write_vectored(connection.sock, encoded)
         except OSError:
             # The I/O loop owns selector state; hand the corpse over.
             self._doomed.append(connection)
@@ -1142,21 +1077,15 @@ class TimeCryptTCPServer:
             return
         with self._wire_lock:
             self._wire_counters["bytes_sent"] += sent
-            self._wire_counters["vectored_writes"] += vectored
+            self._wire_counters["vectored_writes"] += 1
             self._wire_counters["frames_coalesced"] += coalesced
 
     def _encode_response(self, connection: _Connection, frame: Frame, response: Response) -> List:
-        """The response's wire form, as a list of segments to write.
+        """The response's wire form: ``[frame_header, message_header, *attachment_views]``.
 
-        v1 and legacy (``zero_copy=False``) responses come back as one
-        pre-joined buffer; the zero-copy path returns
-        ``[frame_header, message_header, *attachment_views]`` so a 32 MiB
-        ``get_range`` response is never concatenated.
+        Attachments are never concatenated, so a 32 MiB ``get_range``
+        response costs no user-space copy on the way out.
         """
-        if frame.version == 1:
-            return [encode_frame(response.encode())]
-        if not self._zero_copy:
-            return [encode_frame_v2(frame.correlation_id, response.encode())]
         segments = response.encode_segments()
         if connection.accepts_compression:
             segments, compressed = maybe_compress_segments(segments, self._compress_threshold)

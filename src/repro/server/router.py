@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ProtocolError, QueryError, TimeCryptError, TransportError
-from repro.net.client import RemoteServerClient
+from repro.net.client import ConnectionCache, RemoteServerClient
 from repro.net.messages import KV_OPERATIONS, OPERATIONS, Request, Response, ShardRoutingTable
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer, WireDispatcher
 from repro.obs.tracing import current_context, set_context
@@ -256,9 +256,8 @@ class RouterDispatcher(WireDispatcher):
 
     def __init__(self, table_ref: RoutingTableRef, timeout: float = 30.0) -> None:
         self._table_ref = table_ref
-        self._timeout = timeout
-        self._clients: Dict[str, Tuple[Tuple[str, int], RemoteServerClient]] = {}
-        self._clients_lock = threading.Lock()
+        #: Pooled upstream connections, one per engine shard address.
+        self.connections = ConnectionCache(timeout=timeout, tracing=False)
         self._fanout = ThreadPoolExecutor(
             max_workers=self._FANOUT_WORKERS, thread_name_prefix="tc-router-fanout"
         )
@@ -287,38 +286,25 @@ class RouterDispatcher(WireDispatcher):
 
     # -- engine connections -----------------------------------------------------
 
-    def _engine_client(self, name: str) -> RemoteServerClient:
-        address = self._table_ref.table.address_of(name)
-        with self._clients_lock:
-            cached = self._clients.get(name)
-            if cached is not None and cached[0] == address:
-                return cached[1]
-        # Mirror the server-side tracing flag onto the outbound hop: a
-        # proxied request forwarded from inside a traced handler then shows
-        # up as a child span of the router's server span.
-        client = RemoteServerClient(
-            address[0], address[1], timeout=self._timeout, tracing=self.tracing
-        )
-        with self._clients_lock:
-            stale = self._clients.get(name)
-            self._clients[name] = (address, client)
-        if stale is not None:
-            stale[1].close()
-        return client
+    @property  # type: ignore[override]
+    def tracing(self) -> bool:
+        """Set by the owning transport, and mirrored onto the outbound hop.
 
-    def _drop_engine_client(self, name: str) -> None:
-        with self._clients_lock:
-            cached = self._clients.pop(name, None)
-        if cached is not None:
-            cached[1].close()
+        A proxied request forwarded from inside a traced handler then shows
+        up as a child span of the router's server span.
+        """
+        return self.connections.client_options["tracing"]
+
+    @tracing.setter
+    def tracing(self, value: bool) -> None:
+        self.connections.client_options["tracing"] = bool(value)
+
+    def _engine_client(self, name: str) -> RemoteServerClient:
+        return self.connections.get(self._table_ref.table.address_of(name))
 
     def close(self) -> None:
         self._fanout.shutdown(wait=True)
-        with self._clients_lock:
-            clients = [client for _address, client in self._clients.values()]
-            self._clients.clear()
-        for client in clients:
-            client.close()
+        self.connections.close()
 
     def _fan_out(
         self, batches: Dict[str, List[Request]]
@@ -384,11 +370,9 @@ class RouterDispatcher(WireDispatcher):
         last_error: Optional[Exception] = None
         for _attempt in range(2):
             try:
-                client = self._engine_client(owner)
-                return client.call_many(requests)
+                return self.connections.call_many(self._table_ref.table.address_of(owner), requests)
             except (TransportError, OSError) as exc:
                 last_error = exc
-                self._drop_engine_client(owner)
         return [
             Response.failure(
                 TransportError(f"engine shard '{owner}' is unreachable: {last_error}")
@@ -501,8 +485,9 @@ class StreamRouter:
         return self.table_ref.add_engine(name, host, port)
 
     def remove_engine(self, name: str) -> ShardRoutingTable:
+        address = self.table_ref.table.address_of(name)
         table = self.table_ref.remove_engine(name)
-        self._dispatcher._drop_engine_client(name)
+        self._dispatcher.connections.drop(address)
         return table
 
     def start(self) -> "StreamRouter":

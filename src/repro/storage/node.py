@@ -5,7 +5,7 @@ server is a thin crypto-oblivious layer over a distributed key-value store
 (Cassandra in their prototype), and here each *storage node* is its own
 process — a :class:`StorageNodeServer` serving the raw
 :class:`~repro.storage.kv.KeyValueStore` contract over the same pipelined
-framing-v2 wire protocol the engine tier speaks (``kv_*`` operations, see
+wire protocol the engine tier speaks (``kv_*`` operations, see
 :mod:`repro.net.messages`).  A :class:`~repro.storage.cluster.StorageCluster`
 whose ``store_factory`` returns
 :class:`~repro.storage.remote.RemoteKeyValueStore` clients then replicates
@@ -351,7 +351,7 @@ class StorageNodeServer:
     """One remote storage node: a local store behind the pipelined TCP wire.
 
     Reuses :class:`~repro.net.server.TimeCryptTCPServer` unchanged — the
-    selector I/O loop, bounded worker pool, v1/v2 framing, and ``hello``
+    selector I/O loop, bounded worker pool, framing, scheduler and ``hello``
     negotiation all come for free; only the dispatcher differs.  Stopping
     the server does *not* close the store (the store is the node's disk);
     restart the node on the same port with a fresh ``StorageNodeServer``
@@ -364,10 +364,8 @@ class StorageNodeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_workers: int = 4,
-        scheduling: str = "weighted",
         credit_window: int = DEFAULT_CREDIT_WINDOW,
         bulk_queue_limit: int = DEFAULT_BULK_QUEUE_LIMIT,
-        zero_copy: bool = True,
         wire_compression: bool = False,
         node_name: Optional[str] = None,
         tracing: bool = True,
@@ -382,10 +380,8 @@ class StorageNodeServer:
             port=port,
             max_workers=max_workers,
             dispatcher=self._dispatcher,
-            scheduling=scheduling,
             credit_window=credit_window,
             bulk_queue_limit=bulk_queue_limit,
-            zero_copy=zero_copy,
             wire_compression=wire_compression,
             node_name=node_name,
             tracing=tracing,

@@ -2,7 +2,7 @@
 
 :class:`RemoteKeyValueStore` implements the full
 :class:`~repro.storage.kv.KeyValueStore` contract over the pipelined
-framing-v2 wire protocol (the ``kv_*`` op family), so a
+wire protocol (the ``kv_*`` op family), so a
 :class:`~repro.storage.cluster.StorageCluster` can use it as a node
 ``store_factory`` and replicate across real sockets.  Design points:
 
@@ -26,11 +26,12 @@ framing-v2 wire protocol (the ``kv_*`` op family), so a
   cluster's ``_NODE_FAILURES`` mark-down/re-route/repair machinery treats
   as a downed node.  Typed remote errors raised *by* the store itself
   propagate unchanged.
-* **Reconnect.**  The connection is created lazily and dropped on any
-  transport failure; the next operation dials again (one retry per
-  operation), so a node restart heals transparently.  Idempotent KV
-  operations make the at-least-once retry safe; the one observable wrinkle
-  is that a ``delete`` retried across a reconnect can report
+* **Reconnect.**  The connection lives in a
+  :class:`~repro.net.client.ConnectionCache`: created lazily, dropped on
+  any transport failure, and dialled again by the next operation (one
+  retry per operation), so a node restart heals transparently.  Idempotent
+  KV operations make the at-least-once retry safe; the one observable
+  wrinkle is that a ``delete`` retried across a reconnect can report
   ``existed=False`` for a key its first, half-lost attempt removed.
 * **Elastic membership.**  A client is cheap before its first operation
   (no socket until then), so ``StorageCluster.add_node`` can adopt a
@@ -46,7 +47,7 @@ import threading
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import OverloadedError, ProtocolError, StorageError, TransportError
-from repro.net.client import RemoteServerClient, WireStats, _remote_error
+from repro.net.client import ConnectionCache, RemoteServerClient, WireStats, _remote_error
 from repro.net.messages import Request, Response, retain
 from repro.obs.metrics import REGISTRY
 from repro.storage.kv import KeyValueStore
@@ -71,41 +72,39 @@ class RemoteKeyValueStore(KeyValueStore):
         scan_page_size: int = 1024,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         max_keys_per_request: int = DEFAULT_MAX_KEYS_PER_REQUEST,
-        reconnect: bool = True,
         prefix_ops: bool = True,
         overload_retries: int = 4,
-        zero_copy: bool = True,
         compression: bool = False,
         tracing: bool = False,
     ) -> None:
         if scan_page_size < 1:
             raise ValueError("scan_page_size must be positive")
-        #: When True the underlying transport attaches trace contexts to
-        #: outbound kv_* requests — inside a traced engine handler those
-        #: spans join the request's tree (see repro.obs.tracing).
-        self._tracing = bool(tracing)
-        #: Transport-level retry budget for typed ``overloaded`` sheds; once
-        #: exhausted, the shed surfaces here and is wrapped as StorageError.
-        self._overload_retries = max(0, int(overload_retries))
         #: When False, never use the kv_scan_prefix / kv_delete_prefix
         #: offload ops even against a peer that advertises them — the
         #: legacy-pager escape hatch (and the before/after lever the
         #: sharding benchmark uses to measure the offload).
         self._prefix_ops = prefix_ops
         self._address = (host, port)
-        self._timeout = timeout
         self._scan_page_size = scan_page_size
         self._max_request_bytes = max_request_bytes
         self._max_keys_per_request = max_keys_per_request
-        self._reconnect = reconnect
-        self._zero_copy = zero_copy
-        self._compression = compression
-        self._client: Optional[RemoteServerClient] = None
-        self._client_lock = threading.Lock()
+        # ``overload_retries`` is the transport's retry budget for typed
+        # ``overloaded`` sheds; once exhausted, the shed surfaces here and is
+        # wrapped as StorageError.  With ``tracing`` the transport attaches
+        # trace contexts to outbound kv_* requests — inside a traced engine
+        # handler those spans join the request's tree (see repro.obs.tracing).
+        self._connections = ConnectionCache(
+            prepare=self._adopt,
+            timeout=timeout,
+            overload_retries=max(0, int(overload_retries)),
+            compression=compression,
+            tracing=bool(tracing),
+        )
         #: Wire accounting that survives reconnects: the same WireStats
         #: object is handed to every underlying client, so per-node
         #: round-trip counters stay continuous across node restarts.
         self.wire_stats = WireStats()
+        self._metrics_lock = threading.Lock()
         self._metrics_key: Optional[str] = REGISTRY.register(
             f"store.remote.{host}:{port}", self.wire_stats
         )
@@ -116,75 +115,37 @@ class RemoteKeyValueStore(KeyValueStore):
 
     # -- connection management -----------------------------------------------------
 
-    def _ensure_client(self) -> RemoteServerClient:
-        """The live transport, dialing (or redialing) if necessary."""
-        with self._client_lock:
-            if self._client is not None:
-                return self._client
-        # Dial outside the lock: the connect + hello handshake can block for
-        # the full timeout against a dead peer, and holding _client_lock for
-        # that long wedges every thread that merely wants the cached
-        # transport (the cluster's fan-out pool among them).
-        try:
-            client = RemoteServerClient(
-                self._address[0],
-                self._address[1],
-                timeout=self._timeout,
-                overload_retries=self._overload_retries,
-                zero_copy=self._zero_copy,
-                compression=self._compression,
-                tracing=self._tracing,
-            )
-        except (OSError, TransportError) as exc:
-            raise StorageError(
-                f"storage node {self._address} unreachable: {exc}"
-            ) from exc
-        client.wire_stats = self.wire_stats
-        if client.protocol_version != 2:
-            # The transport's v1 fallback fires when the peer drops
-            # the connection mid-hello — which is what a *restarting*
-            # storage node looks like.  There is no v1 mode for the
-            # kv_* ops, so treat it as the outage it is (retryable,
-            # cluster marks the node down), not a config error.
-            client.close()
-            raise StorageError(
-                f"storage node {self._address} did not complete v2 negotiation "
-                "(node restarting or v1-only peer)"
-            )
+    def _adopt(self, client: RemoteServerClient) -> None:
+        """Vet a freshly dialled transport before the cache installs it."""
         if not client.supports_operation("kv_multi_put"):
-            client.close()
             # A reachable peer of the wrong tier is a topology /
-            # configuration error, not an outage: raise the
-            # non-retryable ProtocolError so callers (and the
-            # cluster) do not redial or mark the node down.
+            # configuration error, not an outage: raise the non-retryable
+            # ProtocolError so callers (and the cluster) do not redial or
+            # mark the node down.
             raise ProtocolError(
                 f"peer at {self._address} does not serve the kv_* storage-node "
                 "operations (is it an engine server?)"
             )
-        with self._client_lock:
-            if self._client is None:
-                self._client = client
-                if self._metrics_key is None:
-                    # Store reused after close(): re-attach its wire stats.
-                    self._metrics_key = REGISTRY.register(
-                        f"store.remote.{self._address[0]}:{self._address[1]}",
-                        self.wire_stats,
-                    )
-                return client
-            winner = self._client
-        # Lost a concurrent dial race: keep the installed transport.
-        client.close()
-        return winner
+        client.wire_stats = self.wire_stats
+        with self._metrics_lock:
+            if self._metrics_key is None:
+                # Store reused after close(): re-attach its wire stats.
+                self._metrics_key = REGISTRY.register(
+                    f"store.remote.{self._address[0]}:{self._address[1]}", self.wire_stats
+                )
 
-    def _drop_client(self) -> None:
-        with self._client_lock:
-            client, self._client = self._client, None
-        if client is not None:
-            client.close()
+    def _client(self) -> RemoteServerClient:
+        """The live transport, dialling if necessary; dial failures are outages."""
+        try:
+            return self._connections.get(self._address)
+        except ProtocolError:
+            raise
+        except (OSError, TransportError) as exc:
+            raise StorageError(f"storage node {self._address} unreachable: {exc}") from exc
 
     def connect(self) -> "RemoteKeyValueStore":
         """Eagerly dial the node (the first operation otherwise does it lazily)."""
-        self._ensure_client()
+        self._client()
         return self
 
     def ping(self) -> bool:
@@ -192,10 +153,11 @@ class RemoteKeyValueStore(KeyValueStore):
 
     def close(self) -> None:
         """Drop the connection.  The store may be reused; the next op redials."""
-        if self._metrics_key is not None:
-            REGISTRY.unregister(self._metrics_key)
-            self._metrics_key = None
-        self._drop_client()
+        with self._metrics_lock:
+            if self._metrics_key is not None:
+                REGISTRY.unregister(self._metrics_key)
+                self._metrics_key = None
+        self._connections.close()
 
     # -- wire plumbing -------------------------------------------------------------
 
@@ -211,27 +173,22 @@ class RemoteKeyValueStore(KeyValueStore):
     def _call_many(self, requests: Sequence[Request]) -> List[Response]:
         """A request batch in one round trip, with one reconnect retry."""
         last_error: Optional[Exception] = None
-        for _attempt in range(2 if self._reconnect else 1):
+        for _attempt in range(2):
             try:
-                client = self._ensure_client()
-                responses = client.call_many(list(requests))
-            except StorageError as exc:  # dial failure from _ensure_client
-                last_error = exc
-                continue
+                responses = self._connections.call_many(self._address, list(requests))
             except ProtocolError:
                 # Raised locally by frame encoding (e.g. a single value past
-                # the 64 MiB cap): a deterministic caller error no reconnect
-                # can fix.  Propagate it unchanged — wrapping it in
-                # StorageError would make the cluster mark a healthy node
-                # down and replay the same failure on every replica.
+                # the 64 MiB cap) or by a wrong-tier peer: a deterministic
+                # caller error no reconnect can fix.  Propagate it unchanged —
+                # wrapping it in StorageError would make the cluster mark a
+                # healthy node down and replay the same failure on every
+                # replica.
                 raise
-            except TransportError as exc:
-                # call_many itself only raises transport-level trouble
-                # (remote per-request errors come back inside responses).
-                logger.info(
-                    "storage node %s connection lost (%s); redialling", self._address, exc
-                )
-                self._drop_client()
+            except (TransportError, OSError) as exc:
+                # A failed dial, or a lost connection the cache already
+                # dropped; remote per-request errors come back inside
+                # responses instead.
+                logger.info("storage node %s unreachable (%s); redialling", self._address, exc)
                 last_error = exc
                 continue
             for response in responses:
@@ -344,7 +301,7 @@ class RemoteKeyValueStore(KeyValueStore):
         if not self._prefix_ops:
             return False
         try:
-            return self._ensure_client().supports_operation(operation)
+            return self._client().supports_operation(operation)
         except StorageError:
             # Node unreachable: claim support and let the actual call do the
             # reconnect-retry dance (and surface the outage as usual).

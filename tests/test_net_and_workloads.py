@@ -9,7 +9,7 @@ import pytest
 from repro import ServerEngine, TimeCrypt, TimeCryptConsumer, Principal
 from repro.exceptions import ProtocolError, StreamNotFoundError, TransportError
 from repro.net.client import RemoteServerClient
-from repro.net.framing import MAX_FRAME_BYTES, read_frame, write_frame
+from repro.net.framing import MAX_FRAME_BYTES, FrameReader, encode_frame_v2
 from repro.net.messages import Request, Response
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer
 from repro.workloads.devops import CPU_METRICS, DevOpsWorkload
@@ -19,26 +19,23 @@ from repro.workloads.mhealth import METRICS, MHealthWorkload
 
 class TestFraming:
     def test_roundtrip_over_stream(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, b"hello world")
-        buffer.seek(0)
-        assert read_frame(buffer) == b"hello world"
+        buffer = io.BytesIO(encode_frame_v2(5, b"hello world"))
+        frame = FrameReader(buffer).read()
+        assert frame.correlation_id == 5 and frame.payload == b"hello world"
 
     def test_bad_magic_rejected(self):
-        buffer = io.BytesIO(b"XX\x00\x00\x00\x01a")
+        buffer = io.BytesIO(b"XX\x02" + bytes(12) + b"a")
         with pytest.raises(ProtocolError):
-            read_frame(buffer)
+            FrameReader(buffer).read()
 
     def test_truncated_frame_rejected(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, b"hello")
-        data = buffer.getvalue()[:-2]
+        data = encode_frame_v2(1, b"hello")[:-2]
         with pytest.raises(TransportError):
-            read_frame(io.BytesIO(data))
+            FrameReader(io.BytesIO(data)).read()
 
     def test_oversized_frame_rejected(self):
         with pytest.raises(ProtocolError):
-            write_frame(io.BytesIO(), b"x" * (MAX_FRAME_BYTES + 1))
+            encode_frame_v2(1, b"x" * (MAX_FRAME_BYTES + 1))
 
 
 class TestMessages:

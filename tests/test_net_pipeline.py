@@ -1,11 +1,11 @@
-"""Tests for the pipelined v2 wire protocol and its batch fast paths.
+"""Tests for the pipelined wire protocol and its batch fast paths.
 
-Covers the framing v2 header and incremental assembler, out-of-order
-response correlation, ``call_many``/``pipeline()`` batching, mid-batch
-error isolation, v1 interop and ``hello`` negotiation (including the
-fallback against a v1-only lockstep server), concurrent clients against
-the bounded-worker-pool server, thread-pooled cluster fan-out fault paths,
-and the batched token-store / grant-burst plumbing.
+Covers the frame header and incremental assembler, out-of-order response
+correlation, ``call_many``/``pipeline()`` batching, mid-batch error
+isolation, ``hello`` negotiation (including the typed refusal of retired v1
+lockstep peers), concurrent clients against the bounded-worker-pool server,
+thread-pooled cluster fan-out fault paths, and the batched token-store /
+grant-burst plumbing.
 """
 
 from __future__ import annotations
@@ -27,19 +27,15 @@ from repro.exceptions import (
     ProtocolError,
     StorageError,
     StreamNotFoundError,
-    TimeCryptError,
     TransportError,
 )
 from repro.net.client import RemoteServerClient
 from repro.net.framing import (
+    MAGIC_V2,
     Frame,
     FrameAssembler,
-    encode_frame,
+    FrameReader,
     encode_frame_v2,
-    read_any_frame,
-    read_frame,
-    write_frame,
-    write_frame_v2,
 )
 from repro.net.messages import Request, Response
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer
@@ -48,20 +44,22 @@ from repro.storage.memory import MemoryStore
 from repro.util.timeutil import TimeRange
 
 
+#: A frame of the retired v1 lockstep wire: ``b"TC" || length (4B) || payload``.
+def _v1_frame(payload: bytes) -> bytes:
+    return b"TC" + len(payload).to_bytes(4, "big") + payload
+
+
 class TestFramingV2:
     def test_v2_roundtrip_over_stream(self):
-        buffer = io.BytesIO()
-        write_frame_v2(buffer, 0xDEADBEEF, b"payload")
-        buffer.seek(0)
-        frame = read_any_frame(buffer)
-        assert frame == Frame(version=2, correlation_id=0xDEADBEEF, payload=b"payload")
+        frame = FrameReader(io.BytesIO(encode_frame_v2(0xDEADBEEF, b"payload"))).read()
+        assert frame == Frame(correlation_id=0xDEADBEEF, payload=memoryview(b"payload"))
 
-    def test_read_any_frame_accepts_v1(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, b"legacy")
-        buffer.seek(0)
-        frame = read_any_frame(buffer)
-        assert frame.version == 1 and frame.correlation_id == 0 and frame.payload == b"legacy"
+    def test_reader_rejects_v1_frames(self):
+        """The v1 lockstep magic is a typed protocol error, not a second format."""
+        with pytest.raises(ProtocolError, match="magic"):
+            FrameReader(io.BytesIO(_v1_frame(b"legacy"))).read()
+        with pytest.raises(ProtocolError, match="magic"):
+            FrameAssembler().feed(_v1_frame(b"legacy"))
 
     def test_correlation_id_range_checked(self):
         with pytest.raises(ProtocolError):
@@ -71,22 +69,18 @@ class TestFramingV2:
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ProtocolError):
-            read_any_frame(io.BytesIO(b"XX\x00\x00\x00\x00\x00"))
+            FrameReader(io.BytesIO(b"XX\x00\x00\x00\x00\x00")).read()
 
     def test_assembler_reassembles_byte_by_byte(self):
-        wire = (
-            encode_frame_v2(7, b"first")
-            + encode_frame(b"legacy")
-            + encode_frame_v2(9, b"third")
-        )
+        wire = encode_frame_v2(7, b"first") + encode_frame_v2(8, b"") + encode_frame_v2(9, b"third")
         assembler = FrameAssembler()
         frames = []
         for index in range(len(wire)):
             frames.extend(assembler.feed(wire[index : index + 1]))
-        assert [(f.version, f.correlation_id, f.payload) for f in frames] == [
-            (2, 7, b"first"),
-            (1, 0, b"legacy"),
-            (2, 9, b"third"),
+        assert [(f.correlation_id, bytes(f.payload)) for f in frames] == [
+            (7, b"first"),
+            (8, b""),
+            (9, b"third"),
         ]
 
     def test_assembler_returns_multiple_frames_per_feed(self):
@@ -115,7 +109,7 @@ class TestPipelinedTransport:
         with TimeCryptTCPServer(engine) as server:
             host, port = server.address
             with RemoteServerClient(host, port) as remote:
-                assert remote.protocol_version == 2
+                assert remote.hello_info["protocol"] == 2
                 assert remote.supports_operation("insert_chunks")
                 assert remote.supports_operation("put_grants")
                 assert not remote.supports_operation("drop_everything")
@@ -316,123 +310,85 @@ class TestPipelinedTransport:
 
 
 class _V1OnlyServer:
-    """A lockstep v1-only peer: rejects v2 frames by dropping the connection."""
+    """A retired v1 lockstep peer: it hangs up on the ``T2`` frame magic."""
 
-    def __init__(self, engine: ServerEngine) -> None:
-        self._dispatcher = RequestDispatcher(engine)
+    def __init__(self) -> None:
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._thread: Optional[threading.Thread] = None
-        self._running = False
 
     @property
     def address(self):
         return self._listener.getsockname()
 
     def __enter__(self) -> "_V1OnlyServer":
-        self._running = True
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._thread.start()
         return self
 
     def __exit__(self, *_exc_info: object) -> None:
-        self._running = False
         self._listener.close()
         if self._thread is not None:
             self._thread.join(timeout=5)
 
     def _accept_loop(self) -> None:
-        while self._running:
+        while True:
             try:
                 sock, _address = self._listener.accept()
             except OSError:
                 return
-            threading.Thread(target=self._serve, args=(sock,), daemon=True).start()
-
-    def _serve(self, sock: socket.socket) -> None:
-        with sock:
-            while True:
+            with sock:
                 try:
-                    payload = read_frame(sock)
-                except (TimeCryptError, OSError):
-                    return  # v2 magic or EOF: a v1-only peer just hangs up
-                try:
-                    response = self._dispatcher.dispatch(Request.decode(payload))
-                except TimeCryptError as exc:
-                    response = Response.failure(exc)
-                try:
-                    write_frame(sock, response.encode())
+                    sock.recv(2)  # the unknown magic: a v1-only peer just hangs up
                 except OSError:
-                    return
+                    pass
+
+
+def _refused_by(host: str, port: int, wire: bytes) -> bool:
+    """Send raw bytes; True when the server closes the connection unanswered."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(wire)
+        try:
+            return sock.recv(1) == b""
+        except ConnectionResetError:
+            return True
 
 
 class TestVersionInterop:
-    def test_v1_client_against_new_server(self, small_config):
-        """A forced-v1 lockstep client gets correct results from the v2 server."""
+    def test_v1_client_against_new_server(self):
+        """A v1 lockstep client is refused; the server keeps serving others."""
         engine = ServerEngine()
         with TimeCryptTCPServer(engine) as server:
-            host, port = server.address
-            with RemoteServerClient(host, port, protocol_version=1) as remote:
-                assert remote.protocol_version == 1
-                owner = TimeCrypt(server=remote, owner_id="alice")
-                uuid = owner.create_stream(metric="hr", config=small_config)
-                records = [(t, float(50 + t % 40)) for t in range(0, 10_000, 100)]
-                owner.insert_records(uuid, records)
-                owner.flush(uuid)
-                assert remote.stream_head(uuid) == 10
-                stats = owner.get_stat_range(uuid, 0, 10_000, operators=("count", "sum"))
-                assert stats["count"] == len(records)
-                # Lockstep: every request was its own round trip.
-                assert remote.wire_stats.round_trips == remote.wire_stats.requests_sent
-
-    def test_raw_v1_frames_against_new_server(self):
-        """A hand-rolled v1 exchange (no client class) still works."""
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine) as server:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                write_frame(sock, Request("ping").encode())
-                response = Response.decode(read_frame(sock))
-                assert response.ok and response.result["pong"] is True
-
-    def test_v1_responses_stay_in_request_order(self):
-        """Pipelined v1 frames must be answered strictly in order."""
-        engine = ServerEngine()
-        dispatcher = _SlowPingDispatcher(engine)
-        with TimeCryptTCPServer(engine, dispatcher=dispatcher) as server:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                # Two v1 requests back to back: the first sleeps, the second
-                # does not.  The slow response must still arrive first.
-                sock.sendall(
-                    encode_frame(Request("ping", {"sleep_ms": 300}).encode())
-                    + encode_frame(Request("ping").encode())
-                )
-                first = Response.decode(read_frame(sock))
-                second = Response.decode(read_frame(sock))
-                assert first.result["slept_ms"] == 300
-                assert second.result["slept_ms"] == 0
-
-    def test_negotiation_falls_back_to_v1_only_peer(self, small_config):
-        """Against a v1-only lockstep server the client downgrades and works."""
-        engine = ServerEngine()
-        with _V1OnlyServer(engine) as server:
             host, port = server.address
             with RemoteServerClient(host, port) as remote:
-                assert remote.protocol_version == 1
-                owner = TimeCrypt(server=remote, owner_id="alice")
-                uuid = owner.create_stream(metric="hr", config=small_config)
-                owner.insert_records(uuid, [(t, 1.0) for t in range(0, 3_000, 100)])
-                owner.flush(uuid)
-                assert remote.stream_head(uuid) == 3
-                stats = owner.get_stat_range(uuid, 0, 3_000, operators=("count",))
-                assert stats["count"] == 30
+                assert _refused_by(host, port, _v1_frame(Request("hello").encode()))
+                assert remote.ping()
+
+    def test_raw_v1_frames_against_new_server(self):
+        """A hand-rolled v1 exchange gets the connection closed, never an answer."""
+        engine = ServerEngine()
+        with TimeCryptTCPServer(engine) as server:
+            host, port = server.address
+            assert _refused_by(host, port, _v1_frame(Request("ping").encode()))
+            # A frame with the right magic but an unknown version byte too.
+            assert _refused_by(host, port, MAGIC_V2 + b"\x03" + bytes(12))
+
+    def test_negotiation_with_v1_only_peer_raises_typed_error(self):
+        """A peer that hangs up mid-hello fails the constructor, typed."""
+        with _V1OnlyServer() as server:
+            host, port = server.address
+            with pytest.raises(TransportError, match="negotiation"):
+                RemoteServerClient(host, port, timeout=5.0)
 
     def test_unknown_protocol_version_rejected(self):
-        with pytest.raises(ProtocolError):
-            RemoteServerClient("127.0.0.1", 1, protocol_version=3)
+        wire = bytearray(encode_frame_v2(1, b"ping"))
+        wire[2] = 3  # the frame's protocol version byte
+        with pytest.raises(ProtocolError, match="version"):
+            FrameReader(io.BytesIO(bytes(wire))).read()
+        with pytest.raises(ProtocolError, match="version"):
+            FrameAssembler().feed(bytes(wire))
 
     def test_negotiation_timeout_raises_instead_of_downgrading(self):
-        """A silent peer (slow, not v1) must raise, not pin the session to v1."""
+        """A silent peer must fail the constructor with a typed error."""
         listener = socket.create_server(("127.0.0.1", 0))
         try:
             host, port = listener.getsockname()

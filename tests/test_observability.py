@@ -10,7 +10,7 @@ Covers the unified plane added in :mod:`repro.obs`:
 - trace-context propagation: the ``trace`` header key, the per-connection
   negotiation, thread-local parenting through server handlers, and the
   connected span tree across client → router → engine shard → storage node,
-- edge cases: v1 lockstep fallback, compressed frames, ``overloaded`` sheds
+- edge cases: refused v1 peers, compressed frames, ``overloaded`` sheds
   retried under the same trace id, and zero span recording with tracing off,
 - the adaptive ``retry_after_ms`` hint derived from the bulk drain rate,
 - library-style logging (NullHandler on the ``repro`` root logger; cluster
@@ -20,6 +20,7 @@ Covers the unified plane added in :mod:`repro.obs`:
 from __future__ import annotations
 
 import logging
+import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -307,17 +308,20 @@ def test_error_spans_record_the_error_type():
 
 
 def test_v1_lockstep_client_with_tracing_is_harmless():
-    """A forced-v1 client attaches the trace key; the server drops it cleanly."""
+    """A retired v1 peer offering a trace key is refused without a span."""
     engine = ServerEngine()
     with TimeCryptTCPServer(engine) as server:
         host, port = server.address
-        with RemoteServerClient(host, port, protocol_version=1, tracing=True) as remote:
-            assert remote.protocol_version == 1
-            assert remote.ping()
-            # No protocol error, correct results, and the un-negotiated
-            # connection produced no server spans.
-    spans = SPANS.spans()
-    assert all(span["kind"] == "client" for span in spans)
+        hello = Request("hello", {"tracing": True}).encode()
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"TC" + len(hello).to_bytes(4, "big") + hello)
+            try:
+                assert sock.recv(1) == b""  # closed unanswered
+            except ConnectionResetError:
+                pass
+        with RemoteServerClient(host, port) as remote:
+            assert remote.ping()  # the server is unharmed
+    assert SPANS.spans() == []
 
 
 def test_tracing_rides_compressed_frames():
@@ -586,7 +590,7 @@ def test_shed_carries_adaptive_hint_after_bulk_traffic():
         dispatcher=dispatcher, max_workers=1, bulk_queue_limit=2, retry_after_ms=40
     ) as server:
         host, port = server.address
-        with RemoteServerClient(host, port, flow_control=False, overload_retries=0) as remote:
+        with RemoteServerClient(host, port, overload_retries=0) as remote:
             requests = [Request("insert_chunks", {}, [b"\x00"]) for _ in range(12)]
             futures = remote._send_requests(requests)
             deadline = time.monotonic() + 5

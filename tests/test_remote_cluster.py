@@ -245,7 +245,7 @@ class TestKVWireOps:
             remote.put(b"huge", bytes(MAX_FRAME_BYTES + 1))
         # The connection survives (no reconnect churn), the pending table is
         # clean (no ghost correlation ids), and the node keeps serving.
-        assert not remote._client._pending
+        assert not remote._connections.peek(remote.address)._pending
         assert remote.get(b"huge") is None
         remote.close()
 
@@ -269,7 +269,7 @@ class TestKVWireOps:
         import json
         import socket as socket_module
 
-        from repro.net.framing import encode_frame_v2, read_any_frame
+        from repro.net.framing import FrameReader, encode_frame_v2
         from repro.net.messages import Response
 
         host, port = node.address
@@ -281,7 +281,7 @@ class TestKVWireOps:
         payload = encode_varint(len(header)) + header
         with socket_module.create_connection((host, port), timeout=5.0) as sock:
             sock.sendall(encode_frame_v2(7, payload))
-            frame = read_any_frame(sock)
+            frame = FrameReader(sock).read()
             assert frame.correlation_id == 7
             response = Response.decode(frame.payload)
             assert not response.ok
@@ -479,7 +479,7 @@ class TestRemoteStoreFailures:
         host, port = server.address
         remote = RemoteKeyValueStore(host, port, timeout=30.0)
         assert remote.get(b"warm") is None
-        client = remote._client
+        client = remote._connections.peek(remote.address)
         server.stop()
         client._reader.join(timeout=5)  # reader sees EOF and exits
         begin = time.monotonic()
@@ -676,13 +676,12 @@ class TestRemoteCluster:
     def test_v1_only_peer_is_retryable_outage_not_config_error(self):
         from test_net_pipeline import _V1OnlyServer
 
-        engine = ServerEngine()
-        with _V1OnlyServer(engine) as server:
+        with _V1OnlyServer() as server:
             host, port = server.address
             store = RemoteKeyValueStore(host, port, timeout=2.0)
-            # The transport's v1 downgrade fires for a dropped-mid-hello
-            # connection — what a restarting node looks like — so it maps
-            # to the retryable StorageError, never the wrong-tier error.
+            # A connection dropped mid-hello — also what a restarting node
+            # looks like — fails negotiation with a transport error, which
+            # maps to the retryable StorageError, never the wrong-tier error.
             with pytest.raises(StorageError, match="negotiation"):
                 store.get(b"anything")
 

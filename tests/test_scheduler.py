@@ -8,7 +8,7 @@ Covers the QoS layer added to :class:`~repro.net.server.TimeCryptTCPServer`:
   prompt, typed answer, never a timeout or a dead correlation id,
 - weighted dispatch: interactive ops answer while bulk traffic saturates
   the workers,
-- v1 (lockstep) clients served unchanged by a weighted server,
+- the server refusing a credit window below one,
 - capped-backoff retry of shed requests in the v2 client,
 - sliced dispatch of giant ingest batches (engine lock released between
   slices, validation per slice),
@@ -28,7 +28,6 @@ from repro import ServerEngine, TimeCrypt
 from repro.exceptions import (
     OverloadedError,
     StorageError,
-    StreamNotFoundError,
 )
 from repro.net.client import RemoteServerClient, _CreditGate
 from repro.net.messages import (
@@ -160,7 +159,7 @@ def test_full_bulk_queue_sheds_typed_not_timeout():
         dispatcher=dispatcher, max_workers=1, bulk_queue_limit=2, retry_after_ms=40
     ) as server:
         host, port = server.address
-        with RemoteServerClient(host, port, flow_control=False, overload_retries=0) as remote:
+        with RemoteServerClient(host, port, overload_retries=0) as remote:
             offered = 16
             requests = [Request("insert_chunks", {}, [b"\x00"]) for _ in range(offered)]
             futures = remote._send_requests(requests)
@@ -189,7 +188,7 @@ def test_interactive_answers_while_bulk_saturated():
     dispatcher = _GatedDispatcher()
     with TimeCryptTCPServer(dispatcher=dispatcher, max_workers=1, bulk_queue_limit=64) as server:
         host, port = server.address
-        with RemoteServerClient(host, port, flow_control=False) as remote:
+        with RemoteServerClient(host, port) as remote:
             bulk_futures = remote._send_requests(
                 [Request("insert_chunks", {}, [b"\x00"]) for _ in range(6)]
             )
@@ -287,16 +286,9 @@ def test_credit_window_never_negative_under_concurrent_call_many():
         assert server.scheduler_stats()["max_in_flight"] <= 4
 
 
-def test_v1_lockstep_client_still_served_by_weighted_server():
-    engine = ServerEngine()
-    with TimeCryptTCPServer(engine) as server:
-        host, port = server.address
-        with RemoteServerClient(host, port, protocol_version=1) as remote:
-            assert remote.protocol_version == 1
-            assert remote.credit_window == 0  # no credits on the lockstep wire
-            assert remote.ping()
-            with pytest.raises(StreamNotFoundError):
-                remote.stream_head("missing")
+def test_credit_window_below_one_refused():
+    with pytest.raises(ValueError, match="credit"):
+        TimeCryptTCPServer(ServerEngine(), credit_window=0)
 
 
 # -- sliced giant-ingest dispatch ----------------------------------------------------

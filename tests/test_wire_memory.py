@@ -1,9 +1,9 @@
 """Tests for the zero-copy wire memory path and negotiated frame compression.
 
-Covers the segment-based encode path (byte identity with the legacy
-join-everything encoding), vectored writes, the view-emitting frame
-assembler and reader (frame-cap edges, v1/v2 interleave, buffer-reuse
-safety for retained views), hostile varint hardening in the message codec,
+Covers the segment-based encode path (byte identity with the joined
+reference encoding), vectored writes, the view-emitting frame assembler and
+reader (frame-cap edges, back-to-back frames, buffer-reuse safety for
+retained views), hostile varint hardening in the message codec,
 the ``hello`` compression negotiation matrix, and the end-to-end retain
 audit (stored attachments survive later traffic over the same buffers).
 """
@@ -22,7 +22,6 @@ from repro.net.client import RemoteServerClient
 from repro.net.framing import (
     MAX_FRAME_BYTES,
     FrameAssembler,
-    encode_frame,
     encode_frame_segments_v2,
     encode_frame_v2,
     write_vectored,
@@ -106,32 +105,29 @@ class TestSegmentEncoding:
 
 class TestViewAssembler:
     def test_v1_v2_interleave_yields_views(self):
+        """Back-to-back frames yield views; a retired v1 frame after them is refused."""
         wire = (
             encode_frame_v2(3, b"alpha")
-            + encode_frame(b"legacy")
             + encode_frame_v2(4, b"")
-            + encode_frame(b"")
             + encode_frame_v2(5, b"omega" * 1000)
         )
-        assembler = FrameAssembler(views=True)
+        assembler = FrameAssembler()
         frames = []
         for start in range(0, len(wire), 7):
             frames.extend(assembler.feed(wire[start : start + 7]))
-        assert [(f.version, f.correlation_id) for f in frames] == [
-            (2, 3),
-            (1, 0),
-            (2, 4),
-            (1, 0),
-            (2, 5),
-        ]
+        assert [f.correlation_id for f in frames] == [3, 4, 5]
         assert all(isinstance(f.payload, memoryview) for f in frames)
         assert bytes(frames[0].payload) == b"alpha"
-        assert bytes(frames[1].payload) == b"legacy"
-        assert bytes(frames[4].payload) == b"omega" * 1000
+        assert bytes(frames[1].payload) == b""
+        assert bytes(frames[2].payload) == b"omega" * 1000
+        with pytest.raises(ProtocolError, match="magic"):
+            assembler.feed(b"TC" + (6).to_bytes(4, "big") + b"legacy")
+        # Frames emitted before the refusal stay valid views.
+        assert bytes(frames[0].payload) == b"alpha"
 
     def test_payload_at_exactly_the_frame_cap(self):
         payload = bytes(MAX_FRAME_BYTES)
-        assembler = FrameAssembler(views=True)
+        assembler = FrameAssembler()
         frames = assembler.feed(encode_frame_segments_v2(9, [payload])[0])
         assert frames == []
         # Feed the payload in two halves to exercise mid-payload resume.
@@ -146,14 +142,14 @@ class TestViewAssembler:
 
         header = struct.pack(">2sBQI", b"T2", 2, 1, MAX_FRAME_BYTES + 1)
         with pytest.raises(ProtocolError):
-            FrameAssembler(views=True).feed(header)
+            FrameAssembler().feed(header)
 
     def test_retained_view_survives_feed_buffer_reuse(self):
         """Mutating the fed buffer after feed() must not corrupt emitted frames."""
         scratch = bytearray(1 << 12)
         wire = encode_frame_v2(1, b"precious-payload")
         scratch[: len(wire)] = wire
-        assembler = FrameAssembler(views=True)
+        assembler = FrameAssembler()
         (frame,) = assembler.feed(memoryview(scratch)[: len(wire)])
         # The caller reuses its receive buffer for the next read.
         scratch[:] = b"\xff" * len(scratch)
@@ -163,7 +159,7 @@ class TestViewAssembler:
     def test_view_attachments_decode_and_retain(self):
         request = Request("kv_put", {}, [b"key-1", b"value-1"])
         wire = encode_frame_v2(2, request.encode())
-        (frame,) = FrameAssembler(views=True).feed(wire)
+        (frame,) = FrameAssembler().feed(wire)
         decoded = Request.decode(frame.payload)
         assert all(isinstance(blob, memoryview) for blob in decoded.attachments)
         assert retain(decoded.attachments[0]) == b"key-1"
@@ -299,26 +295,12 @@ class TestCompressionNegotiation:
                 assert remote.wire_stats.frames_compressed == 0
                 assert server.scheduler_stats()["frames_compressed"] == 0
 
-    def test_v1_peer_never_compresses(self):
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine, wire_compression=True) as server:
-            host, port = server.address
-            with RemoteServerClient(
-                host, port, protocol_version=1, compression=True
-            ) as remote:
-                assert remote.protocol_version == 1
-                assert remote._compress is False
-                self._grant_burst(remote)
-                assert remote.wire_stats.frames_compressed == 0
-                assert server.scheduler_stats()["frames_compressed"] == 0
-
-
 class TestEndToEndRetention:
     def test_stored_kv_values_survive_later_traffic(self):
         """The retain audit, end to end: values stored from view attachments
         must not alias frame buffers that later requests overwrite."""
         store = MemoryStore()
-        with StorageNodeServer(store, zero_copy=True) as node:
+        with StorageNodeServer(store) as node:
             host, port = node.address
             remote = RemoteKeyValueStore(host, port)
             try:
@@ -340,22 +322,22 @@ class TestEndToEndRetention:
             finally:
                 remote.close()
 
-    def test_zero_copy_and_legacy_clients_get_identical_bytes(self, small_config):
-        """Byte-identity acceptance: both client modes read the same stream."""
+    def test_wire_client_gets_engine_identical_bytes(self, small_config):
+        """Byte-identity acceptance: chunks read over the wire as views match
+        the bytes the engine stored."""
+        from repro.util.timeutil import TimeRange
+
         engine = ServerEngine()
-        with TimeCryptTCPServer(engine, zero_copy=True) as server:
+        with TimeCryptTCPServer(engine) as server:
             host, port = server.address
-            with RemoteServerClient(host, port, zero_copy=True) as fast:
-                owner = TimeCrypt(server=fast, owner_id="alice")
+            with RemoteServerClient(host, port) as remote:
+                owner = TimeCrypt(server=remote, owner_id="alice")
                 uuid = owner.create_stream(metric="hr", config=small_config)
                 owner.insert_records(uuid, [(t, float(t % 13)) for t in range(0, 8_000, 100)])
                 owner.flush(uuid)
-                from repro.util.timeutil import TimeRange
-
-                fast_chunks = fast.get_range(uuid, TimeRange(0, 8_000))
-            with RemoteServerClient(host, port, zero_copy=False) as legacy:
-                legacy_chunks = legacy.get_range(uuid, TimeRange(0, 8_000))
-        assert len(fast_chunks) == len(legacy_chunks) == 8
-        for fast_chunk, legacy_chunk in zip(fast_chunks, legacy_chunks):
-            assert fast_chunk.payload == legacy_chunk.payload
-            assert fast_chunk.stream_uuid == legacy_chunk.stream_uuid
+                wire_chunks = remote.get_range(uuid, TimeRange(0, 8_000))
+        engine_chunks = engine.get_range(uuid, TimeRange(0, 8_000))
+        assert len(wire_chunks) == len(engine_chunks) == 8
+        for wire_chunk, engine_chunk in zip(wire_chunks, engine_chunks):
+            assert wire_chunk.payload == engine_chunk.payload
+            assert wire_chunk.stream_uuid == engine_chunk.stream_uuid
