@@ -26,14 +26,14 @@ from repro.util.encoding import pack_varint_list, unpack_varint_list
 from conftest import scaled
 
 PAYLOAD_POINTS = [DataPoint(timestamp=20 * i, value=500 + (i % 37)) for i in range(500)]
-PAYLOAD_BYTES = get_codec("zlib").compress(PAYLOAD_POINTS)
+PAYLOAD_BYTES = get_codec("zlib").compress_points(PAYLOAD_POINTS)
 
 
-def _encode(cells):
+def _encode(cells, _window_start, _window_end):
     return pack_varint_list(cells)
 
 
-def _decode(blob):
+def _decode(blob, _window_start, _window_end):
     values, _ = unpack_varint_list(blob, 0)
     return values
 
@@ -79,7 +79,7 @@ def test_ablation_fanout_ingest(benchmark, fanout):
 def test_ablation_codec_compress(benchmark, codec_name):
     benchmark.group = "ablation-codec"
     codec = get_codec(codec_name)
-    benchmark(lambda: codec.compress(PAYLOAD_POINTS))
+    benchmark(lambda: codec.compress_points(PAYLOAD_POINTS))
 
 
 @pytest.mark.parametrize("codec_name", ["none", "zlib", "delta", "delta-zlib"])

@@ -41,7 +41,7 @@ from repro import ServerEngine, TimeCrypt
 from repro.bench.reporting import ResultTable, merge_json_report
 from repro.net.client import RemoteServerClient
 from repro.net.messages import Request
-from repro.net.server import TimeCryptTCPServer
+from repro.net.server import MAX_RETRY_AFTER_MS, MIN_RETRY_AFTER_MS, TimeCryptTCPServer
 from repro.timeseries.serialization import encode_encrypted_chunk
 from repro.timeseries.stream import StreamConfig
 from repro.util.timeutil import TimeRange
@@ -237,7 +237,9 @@ def test_overload_answers_every_correlation_id():
     assert outcome["max_depth_bulk"] <= OVERLOAD_QUEUE_LIMIT
     assert outcome["ping_during_saturation"]
     assert outcome["all_drained"]
-    assert all(hint == OVERLOAD_RETRY_AFTER_MS for hint in outcome["retry_after_ms"])
+    # The bulk hint adapts to the measured drain rate, clamped to the server's
+    # range; the configured constant is quoted only before two bulk dispatches.
+    assert all(MIN_RETRY_AFTER_MS <= hint <= MAX_RETRY_AFTER_MS for hint in outcome["retry_after_ms"])
 
 
 def main() -> None:

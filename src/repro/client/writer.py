@@ -2,7 +2,8 @@
 
 The writer turns raw measurements into what the untrusted server stores:
 
-1. points are batched into fixed-Δ chunks (:class:`ChunkBuilder`),
+1. timestamp and fixed-point value columns are batched into fixed-Δ chunks
+   (:class:`ChunkBuilder`),
 2. the chunk's plaintext digest is computed and each component encrypted
    with HEAC under the chunk's window keys,
 3. the raw points are compressed with the stream's codec and sealed with
@@ -28,7 +29,7 @@ from repro.crypto.heac import HEACCipher
 from repro.exceptions import ChunkError
 from repro.timeseries.chunk import Chunk, ChunkBuilder
 from repro.timeseries.compression import Codec, get_codec
-from repro.timeseries.point import DataPoint, encode_value
+from repro.timeseries.point import DataPoint, encode_value, point_columns
 from repro.timeseries.serialization import EncryptedChunk
 from repro.timeseries.stream import StreamConfig
 
@@ -59,16 +60,15 @@ class StreamWriter:
 
     def append(self, timestamp: int, value: float) -> List[EncryptedChunk]:
         """Add one measurement; returns any chunks that were completed and sent."""
-        point = DataPoint(timestamp=timestamp, value=encode_value(value, self.config.value_scale))
-        return self._handle_completed(self._builder.append(point))
+        return self.extend([timestamp], [encode_value(value, self.config.value_scale)])
 
     def append_point(self, point: DataPoint) -> List[EncryptedChunk]:
         """Add an already fixed-point encoded data point."""
-        return self._handle_completed(self._builder.append(point))
+        return self.extend([point.timestamp], [point.value])
 
-    def extend(self, points: Iterable[DataPoint]) -> List[EncryptedChunk]:
-        """Add many pre-encoded points."""
-        return self._handle_completed(self._builder.extend(points))
+    def extend(self, timestamps: Sequence[int], values: Sequence[int]) -> List[EncryptedChunk]:
+        """Add parallel timestamp and fixed-point value columns."""
+        return self._handle_completed(self._builder.extend(timestamps, values))
 
     def flush(self) -> List[EncryptedChunk]:
         """Seal and send the currently open chunk."""
@@ -128,7 +128,7 @@ class StreamWriter:
         for chunk in run:
             digest_cells = batch.encrypt_vector(chunk.digest.values, chunk.window_index)
             payload_key = batch.chunk_payload_key(chunk.window_index)
-            compressed = self._codec.compress(chunk.points)
+            compressed = self._codec.compress(chunk.timestamps, chunk.values)
             aad = f"{self.stream_uuid}:{chunk.window_index}".encode("utf-8")
             payload = aead_encrypt(
                 payload_key, compressed, aad, force_pure_python=self.use_pure_python_aead
@@ -153,7 +153,7 @@ def write_points(
     Returns the number of chunks written (including the final flush).
     """
     before = writer.chunks_written
-    writer.extend(points)
+    writer.extend(*point_columns(points))
     if flush:
         writer.flush()
     return writer.chunks_written - before

@@ -20,18 +20,18 @@ from repro.storage.memory import MemoryStore
 from repro.timeseries.chunk import Chunk, ChunkBuilder
 from repro.timeseries.compression import get_codec
 from repro.timeseries.digest import Digest
-from repro.timeseries.point import DataPoint, decode_value, encode_value
+from repro.timeseries.point import DataPoint, decode_value, encode_value, point_columns
 from repro.timeseries.serialization import chunk_storage_key
 from repro.timeseries.stream import StreamConfig, StreamMetadata
 from repro.util.encoding import pack_varint_list, unpack_varint_list
 from repro.util.timeutil import TimeRange
 
 
-def _encode_plain_cells(cells: Sequence[int]) -> bytes:
+def _encode_plain_cells(cells: Sequence[int], _window_start: int, _window_end: int) -> bytes:
     return pack_varint_list(cells)
 
 
-def _decode_plain_cells(blob: bytes) -> List[int]:
+def _decode_plain_cells(blob: bytes, _window_start: int, _window_end: int) -> List[int]:
     values, _pos = unpack_varint_list(blob, 0)
     return values
 
@@ -103,26 +103,24 @@ class PlaintextTimeSeriesStore:
     # -- ingest ---------------------------------------------------------------------
 
     def insert_record(self, uuid: str, timestamp: int, value: float) -> None:
-        state = self._stream(uuid)
-        point = DataPoint(
-            timestamp=timestamp, value=encode_value(value, state.metadata.config.value_scale)
-        )
-        self._store_chunks(state, state.builder.append(point))
+        self.insert_records(uuid, [(timestamp, value)])
 
     def insert_records(self, uuid: str, records: Iterable[Tuple[int, float]]) -> None:
         state = self._stream(uuid)
         scale = state.metadata.config.value_scale
-        self.insert_points(
-            uuid,
-            (
-                DataPoint(timestamp=timestamp, value=encode_value(value, scale))
-                for timestamp, value in records
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
+        self._store_chunks(
+            state,
+            state.builder.extend(
+                [timestamp for timestamp, _value in records],
+                [encode_value(value, scale) for _timestamp, value in records],
             ),
         )
 
     def insert_points(self, uuid: str, points: Iterable[DataPoint]) -> None:
         state = self._stream(uuid)
-        self._store_chunks(state, state.builder.extend(points))
+        self._store_chunks(state, state.builder.extend(*point_columns(points)))
 
     def flush(self, uuid: str) -> None:
         state = self._stream(uuid)
@@ -141,7 +139,7 @@ class PlaintextTimeSeriesStore:
             return
         codec = get_codec(state.metadata.config.compression)
         for chunk in chunks:
-            payload = codec.compress(chunk.points)
+            payload = codec.compress(chunk.timestamps, chunk.values)
             self.store.put(
                 chunk_storage_key(state.metadata.uuid, chunk.window_index), payload
             )

@@ -30,7 +30,7 @@ from repro.storage.kv import KeyValueStore
 from repro.storage.memory import MemoryStore
 from repro.timeseries.chunk import Chunk, ChunkBuilder
 from repro.timeseries.digest import Digest
-from repro.timeseries.point import DataPoint, encode_value
+from repro.timeseries.point import DataPoint, encode_value, point_columns
 from repro.timeseries.stream import StreamConfig, StreamMetadata
 from repro.util.encoding import decode_varint, encode_varint
 
@@ -66,14 +66,14 @@ class _PaillierScheme:
     def decrypt(self, ciphertext: int) -> int:
         return self._private.decrypt(ciphertext)
 
-    def encode(self, cells: Sequence[int]) -> bytes:
+    def encode(self, cells: Sequence[int], _window_start: int, _window_end: int) -> bytes:
         width = self.ciphertext_bytes
         out = bytearray(encode_varint(len(cells)))
         for cell in cells:
             out += cell.to_bytes(width, "big")
         return bytes(out)
 
-    def decode(self, blob: bytes) -> List[int]:
+    def decode(self, blob: bytes, _window_start: int, _window_end: int) -> List[int]:
         width = self.ciphertext_bytes
         count, pos = decode_varint(blob, 0)
         cells = []
@@ -107,13 +107,17 @@ class _ECElGamalScheme:
     def decrypt(self, ciphertext: ECElGamalCiphertext) -> int:
         return self._scheme.decrypt(ciphertext)
 
-    def encode(self, cells: Sequence[ECElGamalCiphertext]) -> bytes:
+    def encode(
+        self, cells: Sequence[ECElGamalCiphertext], _window_start: int, _window_end: int
+    ) -> bytes:
         out = bytearray(encode_varint(len(cells)))
         for cell in cells:
             out += cell.encode()
         return bytes(out)
 
-    def decode(self, blob: bytes) -> List[ECElGamalCiphertext]:
+    def decode(
+        self, blob: bytes, _window_start: int, _window_end: int
+    ) -> List[ECElGamalCiphertext]:
         from repro.crypto.ecc import Point
 
         count, pos = decode_varint(blob, 0)
@@ -210,7 +214,7 @@ class StrawmanStore:
 
     def insert_points(self, uuid: str, points: Sequence[DataPoint]) -> None:
         state = self._stream(uuid)
-        self._ingest_chunks(state, state.builder.extend(points))
+        self._ingest_chunks(state, state.builder.extend(*point_columns(points)))
 
     def flush(self, uuid: str) -> None:
         state = self._stream(uuid)

@@ -40,7 +40,7 @@ from repro.client.writer import StreamWriter
 from repro.exceptions import AccessDeniedError, StreamNotFoundError, TimeCryptError
 from repro.server.engine import ServerEngine
 from repro.server.query_executor import MultiStreamAggregate
-from repro.timeseries.point import DataPoint, encode_value
+from repro.timeseries.point import DataPoint, encode_value, point_columns
 from repro.timeseries.stream import StreamConfig, StreamMetadata
 from repro.util.timeutil import TimeRange
 
@@ -138,14 +138,16 @@ class TimeCrypt:
         """
         owned = self._owned(uuid)
         scale = owned.metadata.config.value_scale
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
         owned.writer.extend(
-            DataPoint(timestamp=timestamp, value=encode_value(value, scale))
-            for timestamp, value in records
+            [timestamp for timestamp, _value in records],
+            [encode_value(value, scale) for _timestamp, value in records],
         )
 
     def insert_points(self, uuid: str, points: Iterable[DataPoint]) -> None:
         """Append pre-encoded fixed-point data points."""
-        self._owned(uuid).writer.extend(points)
+        self._owned(uuid).writer.extend(*point_columns(points))
 
     def flush(self, uuid: str) -> None:
         """Seal and upload the currently open chunk."""

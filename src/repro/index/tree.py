@@ -14,7 +14,9 @@ the paper's "only relevant segments of the tree are loaded into memory".
 The tree is cipher-agnostic: cells are combined via a
 :class:`~repro.index.node.DigestCombiner` and (de)serialized via caller
 supplied functions, so the same code serves HEAC, Paillier, EC-ElGamal, and
-the plaintext baseline.
+the plaintext baseline.  The cell codec receives the node's window interval
+too, so a format that tags every cell with its interval (HEAC digest
+vectors) can write it from, and check it against, the node header.
 
 Batch ingest
 ------------
@@ -75,8 +77,8 @@ class AggregationIndex(Generic[Cell]):
         stream_uuid: str,
         store: KeyValueStore,
         combiner: DigestCombiner[Cell],
-        encode_cells: Callable[[Sequence[Cell]], bytes],
-        decode_cells: Callable[[bytes], List[Cell]],
+        encode_cells: Callable[[Sequence[Cell], int, int], bytes],
+        decode_cells: Callable[[bytes, int, int], List[Cell]],
         fanout: int = 64,
         cache: Optional[NodeCache] = None,
         max_windows: int = DEFAULT_MAX_WINDOWS,
@@ -165,7 +167,7 @@ class AggregationIndex(Generic[Cell]):
         return (
             encode_varint(node.window_start)
             + encode_varint(node.window_end)
-            + self._encode_cells(node.cells)
+            + self._encode_cells(node.cells, node.window_start, node.window_end)
         )
 
     def _buffer_node(self, batch: Dict[bytes, bytes], staged: List[IndexNode], node: IndexNode) -> None:
@@ -176,13 +178,13 @@ class AggregationIndex(Generic[Cell]):
     def _decode_node(self, level: int, position: int, blob: bytes) -> IndexNode:
         window_start, pos = decode_varint(blob, 0)
         window_end, pos = decode_varint(blob, pos)
-        cells = self._decode_cells(blob[pos:])
+        cells = self._decode_cells(blob[pos:], window_start, window_end)
         return IndexNode(
             level=level,
             position=position,
             window_start=window_start,
             window_end=window_end,
-            cells=tuple(cells),
+            cells=self._combiner.node_cells(cells),
         )
 
     def _load_node(self, level: int, position: int) -> Optional[IndexNode]:
@@ -268,7 +270,7 @@ class AggregationIndex(Generic[Cell]):
         leaf_cells: List[tuple] = []
         for offset, cells in enumerate(cell_vectors):
             window_index = start + offset
-            leaf_cells.append(tuple(cells))
+            leaf_cells.append(self._combiner.node_cells(cells))
             self._buffer_node(
                 batch,
                 staged,
@@ -311,7 +313,7 @@ class AggregationIndex(Generic[Cell]):
                         position=position,
                         window_start=window_start,
                         window_end=block_end,
-                        cells=tuple(cells),
+                        cells=self._combiner.node_cells(cells),
                     ),
                 )
         # Flush before mutating any in-memory state: if the backend rejects
@@ -336,6 +338,9 @@ class AggregationIndex(Generic[Cell]):
     ) -> List[Cell]:
         """Aggregate digest cells over the window interval ``[start, end)``.
 
+        The combined nodes tile exactly ``[start, end)``, so the result's
+        cells aggregate that interval.
+
         A caller that already computed the cover (the engine does, for its
         query statistics) passes it as ``plan`` so the greedy cover walk runs
         once per query, not twice.
@@ -356,23 +361,27 @@ class AggregationIndex(Generic[Cell]):
             )
         loaded = self._load_plan_nodes(plan)
         total: Optional[List[Cell]] = None
+        covered_end = window_start
         for ref in plan.nodes:
             node = loaded[(ref.level, ref.position)]
             if node is None:
                 raise IndexError_(
                     f"missing index node level={ref.level} position={ref.position}"
                 )
-            if node.window_start != ref.window_start or node.window_end < ref.window_end:
+            # One adjacency check per node: it must continue the covered
+            # interval and end where the plan's node does.
+            if node.window_start != covered_end or node.window_end != ref.window_end:
                 raise IndexError_(
                     f"index node level={ref.level} position={ref.position} covers "
-                    f"[{node.window_start}, {node.window_end}), plan expected "
-                    f"[{ref.window_start}, {ref.window_end})"
+                    f"[{node.window_start}, {node.window_end}), which does not extend "
+                    f"[{window_start}, {covered_end}) to [{window_start}, {ref.window_end})"
                 )
             total = (
                 list(node.cells)
                 if total is None
                 else self._combiner.combine_vectors(total, node.cells)
             )
+            covered_end = node.window_end
         assert total is not None
         return total
 

@@ -14,6 +14,12 @@ Everything the engine touches is ciphertext or public metadata; it never
 holds a decryption key.  Engines are stateless apart from the storage they
 wrap (the paper's horizontal-scalability argument), so several engines can
 share one storage cluster.
+
+Digest cells cross the engine boundary as
+:class:`~repro.crypto.heac.HEACCiphertext` objects.  Ingest checks that a
+chunk's cells match the stream's digest width and cover exactly the chunk's
+window, then hands the index plain ring integers; a statistical query wraps
+the index's total back into ciphertexts over the queried interval.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.access.keystore import TokenStore
+from repro.crypto.heac import HEACCiphertext
 from repro.exceptions import (
     QueryError,
     StreamExistsError,
@@ -43,9 +50,9 @@ from repro.timeseries.digest import DigestConfig, HistogramConfig
 from repro.timeseries.serialization import (
     EncryptedChunk,
     chunk_storage_key,
-    decode_digest_vector,
+    decode_digest_cells,
     decode_encrypted_chunk,
-    encode_digest_vector,
+    encode_digest_cells,
     encode_encrypted_chunk,
     metadata_storage_key,
 )
@@ -170,8 +177,8 @@ class ServerEngine:
             stream_uuid=metadata.uuid,
             store=self.store,
             combiner=heac_combiner(),
-            encode_cells=encode_digest_vector,
-            decode_cells=decode_digest_vector,
+            encode_cells=encode_digest_cells,
+            decode_cells=decode_digest_cells,
             fanout=metadata.config.index_fanout,
             cache=self._cache,
             max_windows=metadata.config.max_chunks,
@@ -258,24 +265,20 @@ class ServerEngine:
     def insert_chunk(self, chunk: EncryptedChunk) -> int:
         """Append an encrypted chunk; updates the index and returns the window index."""
         state = self._state(chunk.stream_uuid)
-        expected_window = state.index.num_windows
-        if chunk.window_index != expected_window:
-            raise QueryError(
-                f"chunk for window {chunk.window_index} arrived, expected window "
-                f"{expected_window} (ingest is in-order append-only)"
-            )
+        self._check_chunk(state, chunk, state.index.num_windows)
         self.store.put(
             chunk_storage_key(chunk.stream_uuid, chunk.window_index),
             encode_encrypted_chunk(chunk),
         )
-        state.index.append(list(chunk.digest))
+        state.index.append([cell.value for cell in chunk.digest])
         state.num_chunks += 1
         state.num_records += chunk.num_points
         return chunk.window_index
 
     def validate_chunk_batch(self, chunks: Sequence[EncryptedChunk]) -> int:
-        """Check a batch is non-empty, single-stream, and consecutive from the
-        stream head; returns the expected first window index.
+        """Check a batch is non-empty, single-stream, consecutive from the
+        stream head and carries well-formed digests; returns the expected
+        first window index.
 
         Factored out of :meth:`insert_chunks` so dispatch layers that slice a
         giant batch (releasing the engine lock between slices) share the
@@ -289,12 +292,35 @@ class ServerEngine:
         for offset, chunk in enumerate(chunks):
             if chunk.stream_uuid != stream_uuid:
                 raise QueryError("a chunk batch must belong to a single stream")
-            if chunk.window_index != expected_window + offset:
-                raise QueryError(
-                    f"chunk for window {chunk.window_index} arrived, expected window "
-                    f"{expected_window + offset} (ingest is in-order append-only)"
-                )
+            self._check_chunk(state, chunk, expected_window + offset)
         return expected_window
+
+    @staticmethod
+    def _check_chunk(state: StreamState, chunk: EncryptedChunk, expected_window: int) -> None:
+        """Refuse a chunk that is not next in line or whose digest is malformed.
+
+        Every digest cell must cover exactly the chunk's window and the vector
+        must have the stream's digest width; otherwise the chunk would poison
+        the index for every later chunk of the stream.
+        """
+        window = chunk.window_index
+        if window != expected_window:
+            raise QueryError(
+                f"chunk for window {window} arrived, expected window "
+                f"{expected_window} (ingest is in-order append-only)"
+            )
+        width = state.metadata.config.digest.width
+        if len(chunk.digest) != width:
+            raise QueryError(
+                f"chunk for window {window} carries {len(chunk.digest)} digest cells, "
+                f"the stream's digest has {width}"
+            )
+        for cell in chunk.digest:
+            if cell.window_start != window or cell.window_end != window + 1:
+                raise QueryError(
+                    f"digest cell covers [{cell.window_start}, {cell.window_end}), "
+                    f"chunk {window} covers [{window}, {window + 1})"
+                )
 
     def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> int:
         """Append a batch of consecutive encrypted chunks of one stream.
@@ -315,7 +341,7 @@ class ServerEngine:
         # One coalesced write set: chunk payloads + touched index nodes + the
         # window-count record land in a single backend multi_put round trip.
         state.index.append_many(
-            [list(chunk.digest) for chunk in chunks], extra_puts=payload_puts
+            [[cell.value for cell in chunk.digest] for chunk in chunks], extra_puts=payload_puts
         )
         state.num_chunks += len(chunks)
         state.num_records += sum(chunk.num_points for chunk in chunks)
@@ -369,7 +395,7 @@ class ServerEngine:
             raise QueryError(f"empty window range [{window_start}, {window_end})")
         plan = state.index.plan(window_start, window_end)
         batch_ops_before = state.index.store_batch_ops
-        cells = state.index.query_range(window_start, window_end, plan=plan)
+        total = state.index.query_range(window_start, window_end, plan=plan)
         self.query_stats.record_stat_query(
             plan.num_nodes, store_round_trips=state.index.store_batch_ops - batch_ops_before
         )
@@ -377,7 +403,10 @@ class ServerEngine:
             stream_uuid=stream_uuid,
             window_start=window_start,
             window_end=window_end,
-            cells=tuple(cells),
+            cells=tuple(
+                HEACCiphertext(value=value, window_start=window_start, window_end=window_end)
+                for value in total
+            ),
             component_names=state.metadata.config.digest.component_names,
             num_index_nodes=plan.num_nodes,
         )

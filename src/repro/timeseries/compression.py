@@ -12,34 +12,42 @@ interface so the stream configuration can pick per-workload:
 * ``delta-zlib``  — delta encoding followed by zlib, best of both for most
   monitoring workloads.
 
-Codecs operate on the already-serialized point buffer (bytes in, bytes out)
-except the delta codecs, which understand the point structure and therefore
-expose encode/decode over point lists as well.
+A chunk reaches a codec as its two integer columns, timestamps and
+fixed-point values.  Every transform works on a whole column: deltas and
+delta-of-deltas are pairwise list maps, and :func:`signed_varints` encodes a
+column through a lookup table, so no per-point Python runs on the write
+path.  :meth:`Codec.compress_points` adapts a point list onto the same path.
+Decompression returns :class:`DataPoint` lists.
 """
 
 from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from typing import Dict, List, Tuple, Type
+from itertools import chain, islice
+from operator import sub
+from typing import Dict, Iterable, List, Sequence, Tuple, Type
 
 from repro.exceptions import ChunkError, ConfigurationError
-from repro.timeseries.point import DataPoint
+from repro.timeseries.point import DataPoint, point_columns
 from repro.util.encoding import (
     decode_signed_varint,
     decode_varint,
-    encode_signed_varint,
     encode_varint,
+    signed_varints,
 )
 
 
-def serialize_points(points: List[DataPoint]) -> bytes:
+def serialize_columns(timestamps: Sequence[int], values: Sequence[int]) -> bytes:
     """Canonical flat serialization: count, then (timestamp, value) varint pairs."""
-    out = bytearray(encode_varint(len(points)))
-    for point in points:
-        out += encode_signed_varint(point.timestamp)
-        out += encode_signed_varint(point.value)
-    return bytes(out)
+    return encode_varint(len(timestamps)) + b"".join(
+        signed_varints(chain.from_iterable(zip(timestamps, values)))
+    )
+
+
+def serialize_points(points: Iterable[DataPoint]) -> bytes:
+    """:func:`serialize_columns` over a point list."""
+    return serialize_columns(*point_columns(points))
 
 
 def deserialize_points(data: bytes) -> List[DataPoint]:
@@ -59,12 +67,16 @@ class Codec(ABC):
     name = "abstract"
 
     @abstractmethod
-    def compress(self, points: List[DataPoint]) -> bytes:
-        """Encode a chunk's points into a compressed payload."""
+    def compress(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        """Encode a chunk's timestamp and value columns into a compressed payload."""
 
     @abstractmethod
     def decompress(self, payload: bytes) -> List[DataPoint]:
         """Recover the exact point list from a compressed payload."""
+
+    def compress_points(self, points: Iterable[DataPoint]) -> bytes:
+        """:meth:`compress` over a point list."""
+        return self.compress(*point_columns(points))
 
 
 class NoneCodec(Codec):
@@ -72,8 +84,8 @@ class NoneCodec(Codec):
 
     name = "none"
 
-    def compress(self, points: List[DataPoint]) -> bytes:
-        return serialize_points(points)
+    def compress(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        return serialize_columns(timestamps, values)
 
     def decompress(self, payload: bytes) -> List[DataPoint]:
         return deserialize_points(payload)
@@ -89,8 +101,8 @@ class ZlibCodec(Codec):
             raise ConfigurationError("zlib level must be between 0 and 9")
         self._level = level
 
-    def compress(self, points: List[DataPoint]) -> bytes:
-        return zlib.compress(serialize_points(points), self._level)
+    def compress(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        return zlib.compress(serialize_columns(timestamps, values), self._level)
 
     def decompress(self, payload: bytes) -> List[DataPoint]:
         try:
@@ -111,24 +123,23 @@ class DeltaCodec(Codec):
 
     name = "delta"
 
-    def compress(self, points: List[DataPoint]) -> bytes:
-        out = bytearray(encode_varint(len(points)))
-        if not points:
-            return bytes(out)
-        first = points[0]
-        out += encode_signed_varint(first.timestamp)
-        out += encode_signed_varint(first.value)
-        previous_ts = first.timestamp
-        previous_delta = 0
-        previous_value = first.value
-        for point in points[1:]:
-            delta = point.timestamp - previous_ts
-            out += encode_signed_varint(delta - previous_delta)
-            out += encode_signed_varint(point.value - previous_value)
-            previous_delta = delta
-            previous_ts = point.timestamp
-            previous_value = point.value
-        return bytes(out)
+    def compress(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        count = len(timestamps)
+        if not count:
+            return encode_varint(0)
+        first = timestamps[0]
+        # t[i] - 2·t[i-1] + t[i-2] for i ≥ 1, with t[-1] = t[0]: the delta
+        # before the first point counts as zero.
+        delta_of_deltas = [
+            current - previous - previous + before
+            for before, previous, current in zip(
+                chain((first,), timestamps), timestamps, islice(timestamps, 1, None)
+            )
+        ]
+        value_deltas = map(sub, islice(values, 1, None), values)
+        pairs = [first, values[0]]
+        pairs += chain.from_iterable(zip(delta_of_deltas, value_deltas))
+        return encode_varint(count) + b"".join(signed_varints(pairs))
 
     def decompress(self, payload: bytes) -> List[DataPoint]:
         count, pos = decode_varint(payload, 0)
@@ -157,8 +168,8 @@ class DeltaZlibCodec(Codec):
         self._delta = DeltaCodec()
         self._level = level
 
-    def compress(self, points: List[DataPoint]) -> bytes:
-        return zlib.compress(self._delta.compress(points), self._level)
+    def compress(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        return zlib.compress(self._delta.compress(timestamps, values), self._level)
 
     def decompress(self, payload: bytes) -> List[DataPoint]:
         try:
@@ -190,8 +201,9 @@ def get_codec(name: str) -> Codec:
         ) from None
 
 
-def compression_ratio(points: List[DataPoint], codec_name: str) -> float:
+def compression_ratio(points: Iterable[DataPoint], codec_name: str) -> float:
     """Ratio of raw serialized size to compressed size (>1 means smaller)."""
-    raw = len(serialize_points(points))
-    compressed = len(get_codec(codec_name).compress(points))
+    timestamps, values = point_columns(points)
+    raw = len(serialize_columns(timestamps, values))
+    compressed = len(get_codec(codec_name).compress(timestamps, values))
     return raw / compressed if compressed else float("inf")

@@ -9,6 +9,10 @@ queries the server can answer:
 * histogram bin counts   → HISTOGRAM, MIN/MAX (first/last non-empty bin) and
   frequency counts, without order-revealing encryption.
 
+A digest is computed from a chunk's value column in one pass per component
+(:meth:`Digest.of_values`): ``sum``, ``len``, the sum of squares, and the
+histogram counts from ``bisect`` over the sorted column.
+
 Digests combine by component-wise addition, which is exactly the operation
 HEAC supports homomorphically; the plaintext :class:`Digest` here is used by
 the client before encryption, by the plaintext baseline system, and by tests
@@ -17,7 +21,9 @@ as the ground truth the encrypted path must match.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, QueryError
@@ -54,10 +60,19 @@ class HistogramConfig:
         """Index of the bin containing ``value``."""
         if not self.boundaries:
             raise QueryError("histogram is not configured for this stream")
-        for index, edge in enumerate(self.boundaries):
-            if value < edge:
-                return index
-        return len(self.boundaries)
+        return bisect_right(self.boundaries, value)
+
+    def counts(self, values: Iterable[int]) -> List[int]:
+        """Per-bin counts of ``values``: bisect each edge into the sorted column."""
+        ordered = sorted(values)
+        counts: List[int] = []
+        below = 0
+        for edge in self.boundaries:
+            position = bisect_left(ordered, edge)
+            counts.append(position - below)
+            below = position
+        counts.append(len(ordered) - below)
+        return counts
 
     def bin_range(self, index: int) -> Tuple[Optional[int], Optional[int]]:
         """The half-open value interval ``[lo, hi)`` of bin ``index`` (None = unbounded)."""
@@ -137,26 +152,23 @@ class Digest:
         return cls(config=config, values=[0] * config.width)
 
     @classmethod
+    def of_values(cls, config: DigestConfig, values: Sequence[int]) -> "Digest":
+        """Compute the digest of a chunk's value column."""
+        components: List[int] = []
+        if config.include_sum:
+            components.append(sum(values))
+        if config.include_count:
+            components.append(len(values))
+        if config.include_sum_of_squares:
+            components.append(sum(map(mul, values, values)))
+        if config.histogram.num_bins:
+            components.extend(config.histogram.counts(values))
+        return cls(config=config, values=components)
+
+    @classmethod
     def of_points(cls, config: DigestConfig, points: Iterable[DataPoint]) -> "Digest":
         """Compute the digest of a chunk's points."""
-        digest = cls.zero(config)
-        for point in points:
-            digest.add_point(point)
-        return digest
-
-    def add_point(self, point: DataPoint) -> None:
-        offset = 0
-        if self.config.include_sum:
-            self.values[offset] += point.value
-            offset += 1
-        if self.config.include_count:
-            self.values[offset] += 1
-            offset += 1
-        if self.config.include_sum_of_squares:
-            self.values[offset] += point.value * point.value
-            offset += 1
-        if self.config.histogram.num_bins:
-            self.values[offset + self.config.histogram.bin_of(point.value)] += 1
+        return cls.of_values(config, [point.value for point in points])
 
     # -- combination ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ conversion consistently on the write and read paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List, Tuple, Union
 
 Number = Union[int, float]
 
@@ -59,6 +59,12 @@ def make_points(
         for ts, val in zip(timestamps, values)
     ]
     return points
+
+
+def point_columns(points: Iterable[DataPoint]) -> Tuple[List[int], List[int]]:
+    """Split points into the parallel ``(timestamps, values)`` columns chunks carry."""
+    materialised = list(points)
+    return [point.timestamp for point in materialised], [point.value for point in materialised]
 
 
 def validate_sorted(points: Iterable[DataPoint]) -> List[DataPoint]:

@@ -7,6 +7,12 @@ What the server stores per chunk window (paper §4.1, §4.6):
 * an **encrypted digest vector** — one HEAC ciphertext per digest component,
   which the server *can* aggregate (but not decrypt).
 
+A digest vector tags every cell with its window interval.  An index node's
+cells all share the node's interval and are held as ring integers, so the
+index (de)serializes them with :func:`encode_digest_cells` and
+:func:`decode_digest_cells`: the same bytes, with the interval written from
+and checked against the node header.
+
 Records are keyed by ``stream-id || window-encoding`` (see
 :func:`chunk_storage_key`), mirroring the paper's "identifier computed
 on-the-fly from the temporal range boundaries" design.
@@ -18,7 +24,7 @@ stand in for the protobuf messages of the original prototype.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.crypto.heac import HEACCiphertext
 from repro.exceptions import ChunkError
@@ -45,21 +51,22 @@ class EncryptedChunk:
 
 def encode_digest_vector(digest: Sequence[HEACCiphertext]) -> bytes:
     """Serialize a vector of HEAC ciphertexts."""
-    out = bytearray(_MAGIC_DIGEST)
-    out += encode_varint(len(digest))
+    parts = [_MAGIC_DIGEST, encode_varint(len(digest))]
+    bounds = None
     for ciphertext in digest:
-        out += ciphertext.value.to_bytes(8, "big")
-        out += encode_varint(ciphertext.window_start)
-        out += encode_varint(ciphertext.window_end)
-    return bytes(out)
+        # A chunk's cells all cover its window: encode the interval once.
+        if bounds != (ciphertext.window_start, ciphertext.window_end):
+            bounds = (ciphertext.window_start, ciphertext.window_end)
+            interval = encode_varint(bounds[0]) + encode_varint(bounds[1])
+        parts.append(ciphertext.value.to_bytes(8, "big") + interval)
+    return b"".join(parts)
 
 
-def decode_digest_vector(blob: bytes) -> List[HEACCiphertext]:
-    """Inverse of :func:`encode_digest_vector`."""
+def _iter_digest_cells(blob: bytes) -> Iterator[Tuple[int, int, int]]:
+    """``(value, window_start, window_end)`` of every cell of a digest vector blob."""
     if blob[:4] != _MAGIC_DIGEST:
         raise ChunkError("not a digest vector blob")
     count, pos = decode_varint(blob, 4)
-    digest: List[HEACCiphertext] = []
     for _ in range(count):
         if pos + 8 > len(blob):
             raise ChunkError("truncated digest vector")
@@ -67,8 +74,38 @@ def decode_digest_vector(blob: bytes) -> List[HEACCiphertext]:
         pos += 8
         window_start, pos = decode_varint(blob, pos)
         window_end, pos = decode_varint(blob, pos)
-        digest.append(HEACCiphertext(value=value, window_start=window_start, window_end=window_end))
-    return digest
+        yield value, window_start, window_end
+
+
+def decode_digest_vector(blob: bytes) -> List[HEACCiphertext]:
+    """Inverse of :func:`encode_digest_vector`."""
+    return [
+        HEACCiphertext(value=value, window_start=window_start, window_end=window_end)
+        for value, window_start, window_end in _iter_digest_cells(blob)
+    ]
+
+
+def encode_digest_cells(values: Sequence[int], window_start: int, window_end: int) -> bytes:
+    """:func:`encode_digest_vector` of ring-integer cells that all cover one interval."""
+    interval = encode_varint(window_start) + encode_varint(window_end)
+    return (
+        _MAGIC_DIGEST
+        + encode_varint(len(values))
+        + b"".join([value.to_bytes(8, "big") + interval for value in values])
+    )
+
+
+def decode_digest_cells(blob: bytes, window_start: int, window_end: int) -> List[int]:
+    """Inverse of :func:`encode_digest_cells`; every cell must cover ``[start, end)``."""
+    values: List[int] = []
+    for value, cell_start, cell_end in _iter_digest_cells(blob):
+        if cell_start != window_start or cell_end != window_end:
+            raise ChunkError(
+                f"digest cell covers [{cell_start}, {cell_end}), its node covers "
+                f"[{window_start}, {window_end})"
+            )
+        values.append(value)
+    return values
 
 
 def encode_encrypted_chunk(chunk: EncryptedChunk) -> bytes:

@@ -41,7 +41,7 @@ class CacheStats:
         self.insertions = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry(Generic[V]):
     value: V
     weight: int = field(default=1)

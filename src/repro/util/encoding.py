@@ -3,6 +3,12 @@
 These are the building blocks of the chunk serialization format and the
 wire protocol: unsigned LEB128 varints, zigzag encoding for signed deltas,
 and fixed-width big-endian integer conversions.
+
+Chunk payloads encode whole integer columns at once
+(:func:`signed_varints`): the varints of every zigzag value below
+``2^14`` — everything that fits in one or two bytes — are looked up in a
+table built at import, and only larger values go through
+:func:`encode_varint`.
 """
 
 from __future__ import annotations
@@ -51,8 +57,12 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
 
 
 def encode_zigzag(value: int) -> int:
-    """Map a signed integer to an unsigned one (small magnitudes stay small)."""
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
+    """Map a signed integer to an unsigned one (small magnitudes stay small).
+
+    ``v ≥ 0`` maps to ``2v`` and ``v < 0`` to ``-2v - 1``, for integers of
+    any size.
+    """
+    return value << 1 if value >= 0 else ~(value << 1)
 
 
 def decode_zigzag(value: int) -> int:
@@ -71,6 +81,26 @@ def decode_signed_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     return decode_zigzag(raw), pos
 
 
+#: Zigzag values with a precomputed varint: every one- and two-byte varint.
+_VARINT_TABLE_SIZE = 1 << 14
+_VARINT_TABLE: Tuple[bytes, ...] = tuple(
+    bytes((value,)) if value < 0x80 else bytes(((value & 0x7F) | 0x80, value >> 7))
+    for value in range(_VARINT_TABLE_SIZE)
+)
+
+
+def signed_varints(values: Iterable[int]) -> List[bytes]:
+    """Zigzag + varint encode a column: one ``encode_signed_varint`` per value."""
+    table = _VARINT_TABLE
+    size = _VARINT_TABLE_SIZE
+    # encode_zigzag, inlined: a call per value would cost more than the lookup.
+    return [
+        table[zigzag] if (zigzag := value << 1 if value >= 0 else ~(value << 1)) < size
+        else encode_varint(zigzag)
+        for value in values
+    ]
+
+
 def int_to_bytes(value: int, length: int) -> bytes:
     """Big-endian fixed-width encoding of a non-negative integer."""
     return value.to_bytes(length, "big")
@@ -83,11 +113,8 @@ def int_from_bytes(data: bytes) -> int:
 
 def pack_varint_list(values: Iterable[int]) -> bytes:
     """Pack a sequence of signed integers as length-prefixed signed varints."""
-    items: List[int] = list(values)
-    out = bytearray(encode_varint(len(items)))
-    for item in items:
-        out += encode_signed_varint(item)
-    return bytes(out)
+    encoded = signed_varints(values)
+    return encode_varint(len(encoded)) + b"".join(encoded)
 
 
 def unpack_varint_list(data: bytes, offset: int = 0) -> Tuple[List[int], int]:

@@ -28,7 +28,7 @@ from repro.server.engine import ServerEngine
 from repro.client.writer import StreamWriter
 from repro.storage.memory import MemoryStore
 from repro.timeseries.chunk import chunks_from_points
-from repro.timeseries.point import DataPoint
+from repro.timeseries.point import DataPoint, point_columns
 from repro.timeseries.serialization import decode_encrypted_chunk
 from repro.timeseries.stream import StreamConfig, StreamMetadata
 from repro.util.encoding import encode_varint
@@ -223,8 +223,8 @@ def _int_index(store, fanout, uuid="s"):
         stream_uuid=uuid,
         store=store,
         combiner=plaintext_combiner(),
-        encode_cells=lambda cells: b"".join(struct.pack(">q", c) for c in cells),
-        decode_cells=lambda blob: [
+        encode_cells=lambda cells, _start, _end: b"".join(struct.pack(">q", c) for c in cells),
+        decode_cells=lambda blob, _start, _end: [
             struct.unpack(">q", blob[i : i + 8])[0] for i in range(0, len(blob), 8)
         ],
         fanout=fanout,
@@ -345,7 +345,7 @@ def test_bulk_ingest_pipeline_matches_scalar_pipeline(small_config):
     scalar_writer.flush()
 
     batch_server, batch_writer, _ = _owner_stack(seed, small_config, use_batch_sink=True)
-    batch_writer.extend(points)
+    batch_writer.extend(*point_columns(points))
     batch_writer.flush()
 
     assert scalar_writer.chunks_written == batch_writer.chunks_written

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.timeseries.compression import available_codecs, get_codec
+from repro.timeseries.point import DataPoint
 from repro.util.encoding import (
     decode_signed_varint,
     decode_varint,
@@ -54,6 +56,12 @@ class TestVarint:
         assert decode_varint(encode_varint(value))[0] == value
 
 
+#: ``±2^n`` and ``±(2^n - 1)`` for every ``n ≤ 69``.
+POWER_EDGES = sorted(
+    {sign * magnitude for n in range(70) for magnitude in (1 << n, (1 << n) - 1) for sign in (1, -1)}
+)
+
+
 class TestZigzag:
     @pytest.mark.parametrize(
         "signed,unsigned", [(0, 0), (-1, 1), (1, 2), (-2, 3), (2, 4), (2147483647, 4294967294)]
@@ -73,6 +81,35 @@ class TestZigzag:
     def test_small_magnitudes_stay_small(self):
         assert len(encode_signed_varint(-3)) == 1
         assert len(encode_signed_varint(3)) == 1
+
+    @pytest.mark.parametrize("value", POWER_EDGES)
+    def test_power_of_two_edges_roundtrip(self, value):
+        assert decode_zigzag(encode_zigzag(value)) == value
+        encoded = encode_signed_varint(value)
+        if encode_zigzag(value) >> 70:
+            # Needs an 11th varint byte, which the bounded decoder refuses.
+            with pytest.raises(ValueError):
+                decode_signed_varint(encoded)
+        else:
+            assert decode_signed_varint(encoded) == (value, len(encoded))
+
+    def test_nonnegative_zigzag_is_a_shift(self):
+        for n in range(70):
+            assert encode_zigzag(1 << n) == 1 << (n + 1)
+            assert encode_zigzag((1 << n) - 1) == ((1 << n) - 1) << 1
+
+    @pytest.mark.parametrize("codec_name", available_codecs())
+    def test_two_point_chunks_roundtrip_through_every_codec(self, codec_name):
+        codec = get_codec(codec_name)
+        for value in POWER_EDGES:
+            if encode_zigzag(value) >> 70:
+                continue
+            timestamp = max(value, 0)
+            for points in (
+                [DataPoint(0, value), DataPoint(1, value)],
+                [DataPoint(timestamp, 0), DataPoint(timestamp, value)],
+            ):
+                assert codec.decompress(codec.compress_points(points)) == points, value
 
 
 class TestVarintList:

@@ -3,26 +3,38 @@
 from __future__ import annotations
 
 import random
+from array import array
 from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import IndexError_, QueryError
+from repro.crypto.heac import MODULUS, HEACCiphertext, aggregate_componentwise
+from repro.exceptions import ChunkError, IndexError_, QueryError
 from repro.index.cache import NodeCache
 from repro.index.node import DigestCombiner, IndexNode, heac_combiner, plaintext_combiner
 from repro.index.query import plan_range, worst_case_nodes
 from repro.index.tree import AggregationIndex, levels_for
+from repro.server.engine import ServerEngine
 from repro.storage.memory import MemoryStore
-from repro.util.encoding import pack_varint_list, unpack_varint_list
+from repro.timeseries.serialization import (
+    EncryptedChunk,
+    decode_digest_cells,
+    decode_digest_vector,
+    encode_digest_cells,
+    encode_digest_vector,
+    index_node_storage_key,
+)
+from repro.timeseries.stream import StreamMetadata
+from repro.util.encoding import decode_varint, encode_varint, pack_varint_list, unpack_varint_list
 
 
-def _encode(cells) -> bytes:
+def _encode(cells, _window_start, _window_end) -> bytes:
     return pack_varint_list(cells)
 
 
-def _decode(blob: bytes) -> List[int]:
+def _decode(blob: bytes, _window_start, _window_end) -> List[int]:
     values, _pos = unpack_varint_list(blob, 0)
     return values
 
@@ -247,3 +259,115 @@ class TestAggregationIndex:
         cells = index.query_range(start, end)
         assert cells[0] == sum(values[start:end])
         assert cells[1] == end - start
+
+
+class TestRingCells:
+    """HEAC cells held as ring integers; the node interval is every cell's interval."""
+
+    WIDTH = 3
+
+    @staticmethod
+    def _ring_index(store, fanout=4):
+        return AggregationIndex(
+            stream_uuid="s",
+            store=store,
+            combiner=heac_combiner(),
+            encode_cells=encode_digest_cells,
+            decode_cells=decode_digest_cells,
+            fanout=fanout,
+            max_windows=1 << 20,
+        )
+
+    @staticmethod
+    def _leaf_key(position):
+        return index_node_storage_key("s", 0, position)
+
+    @staticmethod
+    def _node_blob(window_start, window_end, cells, cell_interval=None):
+        cell_start, cell_end = cell_interval or (window_start, window_end)
+        return (
+            encode_varint(window_start)
+            + encode_varint(window_end)
+            + encode_digest_vector([HEACCiphertext(value, cell_start, cell_end) for value in cells])
+        )
+
+    def test_ring_combiner_wraps_mod_2_64(self):
+        combiner = heac_combiner()
+        assert combiner.combine_vectors([MODULUS - 1, 5], [2, 7]) == [1, 12]
+        with pytest.raises(IndexError_):
+            combiner.combine_vectors([1], [1, 2])
+
+    def test_non_adjacent_nodes_refused(self):
+        store = MemoryStore()
+        index = self._ring_index(store)
+        for window in range(8):
+            index.append([window, 1, 2])
+        # Leaf 5 claims [6, 7): it does not continue leaf 4's [4, 5).
+        store.put(self._leaf_key(5), self._node_blob(6, 7, [5, 1, 2]))
+        index.cache.clear()
+        with pytest.raises(IndexError_):
+            index.query_range(4, 6)
+
+    def test_node_wider_than_its_plan_slot_refused(self):
+        store = MemoryStore()
+        index = self._ring_index(store)
+        for window in range(8):
+            index.append([window, 1, 2])
+        store.put(self._leaf_key(4), self._node_blob(4, 6, [4, 1, 2]))
+        index.cache.clear()
+        with pytest.raises(IndexError_):
+            index.query_range(4, 6)
+
+    def test_cell_interval_disagreeing_with_node_header_refused(self):
+        store = MemoryStore()
+        index = self._ring_index(store)
+        for window in range(8):
+            index.append([window, 1, 2])
+        store.put(self._leaf_key(5), self._node_blob(5, 6, [5, 1, 2], cell_interval=(5, 7)))
+        index.cache.clear()
+        with pytest.raises(ChunkError):
+            index.node(0, 5)
+        with pytest.raises(ChunkError):
+            index.query_range(4, 6)
+
+    def test_stored_nodes_use_the_digest_vector_format(self):
+        store = MemoryStore()
+        index = self._ring_index(store)
+        for window in range(6):
+            index.append([window, 1, MODULUS - 1 - window])
+        for key, blob in store.scan_prefix(b"index/s/"):
+            if key.endswith(b"/meta"):
+                continue
+            window_start, pos = decode_varint(blob, 0)
+            window_end, pos = decode_varint(blob, pos)
+            cells = decode_digest_vector(blob[pos:])
+            assert {(c.window_start, c.window_end) for c in cells} == {(window_start, window_end)}
+            assert blob == self._node_blob(window_start, window_end, [c.value for c in cells])
+        assert index.node(0, 5).cells == array("Q", [5, 1, MODULUS - 6])
+
+    def test_stat_range_under_a_growing_spine_node(self, small_config):
+        """Results equal the ciphertext sum of the leaves, over the queried interval."""
+        engine = ServerEngine()
+        metadata = StreamMetadata.new(owner_id="o", config=small_config)
+        engine.create_stream(metadata)
+        width = small_config.digest.width
+        rng = random.Random(11)
+        leaves = []
+
+        def ingest(count):
+            for _ in range(count):
+                window = len(leaves)
+                digest = [HEACCiphertext(rng.getrandbits(64), window, window + 1) for _ in range(width)]
+                leaves.append(digest)
+                engine.insert_chunk(EncryptedChunk(metadata.uuid, window, b"sealed", digest, 1))
+
+        def check_every_range():
+            for start in range(len(leaves)):
+                for end in range(start + 1, len(leaves) + 1):
+                    result = engine.stat_range_windows(metadata.uuid, start, end)
+                    assert list(result.cells) == aggregate_componentwise(leaves[start:end])
+
+        ingest(6)  # fanout 4: the level-1 node at position 1 covers [4, 6) and is growing
+        check_every_range()
+        ingest(3)  # it fills up to [4, 8); position 2 starts growing at [8, 9)
+        check_every_range()

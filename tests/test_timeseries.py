@@ -285,3 +285,52 @@ class TestChunking:
         chunks = chunks_from_points(self.CONFIG, points)
         recovered = [point for chunk in chunks for point in chunk.points]
         assert recovered == points
+
+
+class TestColumnBatches:
+    CONFIG = StreamConfig(chunk_interval=100, start_time=1_000)
+
+    def test_extend_splits_windows_and_emits_empties(self):
+        builder = ChunkBuilder(config=self.CONFIG)
+        completed = builder.extend([1_000, 1_050, 1_099, 1_100, 1_420], [1, 2, 3, 4, 5])
+        assert [(c.window_index, c.timestamps, c.values) for c in completed] == [
+            (0, [1_000, 1_050, 1_099], [1, 2, 3]),
+            (1, [1_100], [4]),
+            (2, [], []),
+            (3, [], []),
+        ]
+        assert [(c.window_index, c.values) for c in builder.flush()] == [(4, [5])]
+
+    def test_window_continues_across_batches(self):
+        builder = ChunkBuilder(config=self.CONFIG)
+        assert builder.extend([1_010, 1_020], [1, 2]) == []
+        assert builder.extend([1_020, 1_030], [3, 4]) == []
+        (chunk,) = builder.extend([1_200], [5])[:1]
+        assert chunk.timestamps == [1_010, 1_020, 1_020, 1_030]
+        assert chunk.digest.sum == 10
+
+    def test_rejected_batch_leaves_builder_unchanged(self):
+        builder = ChunkBuilder(config=self.CONFIG)
+        builder.extend([1_010], [1])
+        with pytest.raises(OutOfOrderError):
+            builder.extend([1_020, 1_500, 1_400], [2, 3, 4])  # out of order inside
+        with pytest.raises(OutOfOrderError):
+            builder.extend([1_005], [2])  # before the previous batch
+        with pytest.raises(TypeError):
+            builder.extend([1_020, 1_030.0], [2, 3])
+        with pytest.raises(TypeError):
+            builder.extend([1_020], [2.5])
+        with pytest.raises(ChunkError):
+            builder.extend([1_020, 1_030], [2])
+        assert [(c.timestamps, c.values) for c in builder.flush()] == [([1_010], [1])]
+
+    def test_first_timestamp_before_stream_start_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ChunkBuilder(config=self.CONFIG).extend([999, 1_000], [1, 2])
+
+    def test_chunk_columns_must_match_and_fit_the_window(self):
+        with pytest.raises(ChunkError):
+            Chunk(0, TimeRange(0, 100), [1, 2], [1], Digest.of_values(DigestConfig(), [1]))
+        with pytest.raises(ChunkError):
+            Chunk(0, TimeRange(0, 100), [50, 100, 10], [1, 2, 3], Digest.of_values(DigestConfig(), [1, 2, 3]))
+        assert Chunk.of_points(0, TimeRange(0, 100), [DataPoint(5, 1)], DigestConfig()).points == [DataPoint(5, 1)]
