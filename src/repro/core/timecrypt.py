@@ -98,8 +98,7 @@ class TimeCrypt:
             cipher=keys.heac_cipher(),
             sink=self.server.insert_chunk,
             # Server handles without a bulk-ingest entry point fall back to
-            # per-chunk delivery (RemoteServerClient additionally downgrades
-            # itself when the remote dispatcher rejects the wire op).
+            # per-chunk delivery.
             batch_sink=getattr(self.server, "insert_chunks", None),
         )
         self._streams[metadata.uuid] = _OwnedStream(metadata=metadata, keys=keys, writer=writer)

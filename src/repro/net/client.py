@@ -6,6 +6,15 @@ surface as :class:`~repro.server.engine.ServerEngine`, so the
 :class:`~repro.core.timecrypt.TimeCrypt` facade and the consumer client work
 unchanged whether the server is in-process or across the network.
 
+That surface is written once, in the ``_ENGINE_OPS`` table: per engine
+operation, how its :class:`Request` is built, how its :class:`Response` is
+decoded (owned copies of every attachment that outlives the frame), and
+which stream routes it.  Three callers generate their methods from it and
+differ only in what they do with an entry: :class:`RemoteServerClient`
+sends one call and decodes it, :class:`ShardedServerClient` sends it to the
+stream's owning shard (splitting only the cross-shard ``stat_range_multi``
+and ``put_grants``), and :class:`RequestPipeline` defers it.
+
 Transport model: one dedicated **reader thread** drains response frames and
 resolves them against a correlation-id → future table, so any number of
 requests can be in flight on one connection and responses may arrive in any
@@ -40,6 +49,7 @@ per-address connections in one.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import logging
 import socket
@@ -49,7 +59,6 @@ from concurrent.futures import Future
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.heac import HEACCiphertext
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import SPANS, current_context, new_span_id, new_trace_id
 from repro.exceptions import (
@@ -75,7 +84,7 @@ from repro.net.messages import (
     maybe_compress_segments,
     retain,
 )
-from repro.server.engine import _metadata_from_json, _metadata_to_json
+from repro.server.engine import ServerEngine, _metadata_from_json, _metadata_to_json
 from repro.server.query_executor import MultiStreamAggregate, StatQueryResult
 from repro.timeseries.serialization import (
     EncryptedChunk,
@@ -245,6 +254,266 @@ class PipelineResult:
         return self._decoder(self._response)
 
 
+# -- the engine operation table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _EngineOp:
+    """One :class:`~repro.server.engine.ServerEngine` operation on the wire.
+
+    ``build`` turns the method's arguments into the :class:`Request`;
+    ``decode`` turns a successful :class:`Response` into the engine's return
+    value, retaining every attachment that outlives the response (decoded
+    attachments are views over the frame buffer); ``route`` takes the same
+    arguments as ``build`` and names the stream whose owner serves the call
+    (``None`` for ``ping``, which names no stream).
+    """
+
+    build: Callable[..., Request]
+    decode: Callable[[Response], Any]
+    route: Optional[Callable[..., str]] = None
+
+
+def _stream_arg(stream_uuid: str, *_args: Any, **_kwargs: Any) -> str:
+    return stream_uuid
+
+
+def _range_args(stream_uuid: str, time_range: TimeRange) -> Dict[str, Any]:
+    return {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end}
+
+
+def _int_result(key: str) -> Callable[[Response], int]:
+    return lambda response: int(response.result[key])
+
+
+def _no_result(_response: Response) -> None:
+    return None
+
+
+def _insert_chunks_request(chunks: Sequence[EncryptedChunk]) -> Request:
+    if not chunks:
+        raise ProtocolError("insert_chunks requires at least one chunk")
+    return Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks])
+
+
+def _stat_range_multi_request(stream_uuids: Sequence[str], time_range: TimeRange) -> Request:
+    if not stream_uuids:
+        raise QueryError("an inter-stream query needs at least one stream")
+    return Request(
+        "stat_range_multi",
+        {"uuids": list(stream_uuids), "start": time_range.start, "end": time_range.end},
+    )
+
+
+def _put_grants_request(grants: Sequence[Tuple[str, str, bytes]]) -> Request:
+    return Request(
+        "put_grants",
+        {
+            "grants": [
+                {"uuid": stream_uuid, "principal_id": principal_id}
+                for stream_uuid, principal_id, _sealed in grants
+            ]
+        },
+        [sealed for _uuid, _principal, sealed in grants],
+    )
+
+
+def _put_envelopes_request(
+    stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
+) -> Request:
+    windows = sorted(envelopes)
+    return Request(
+        "put_envelopes",
+        {"uuid": stream_uuid, "resolution_chunks": resolution_chunks, "windows": windows},
+        [envelopes[window] for window in windows],
+    )
+
+
+def _fetch_envelopes_request(
+    stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
+) -> Request:
+    return Request(
+        "fetch_envelopes",
+        {
+            "uuid": stream_uuid,
+            "resolution_chunks": resolution_chunks,
+            "window_start": window_start,
+            "window_end": window_end,
+        },
+    )
+
+
+def _decode_metadata(response: Response) -> StreamMetadata:
+    if not response.attachments:
+        raise ProtocolError("stream_metadata response missing attachment")
+    return _metadata_from_json(response.attachments[0])
+
+
+#: Every engine operation, spelled once.  The three callers differ only in
+#: what they do with an entry: :class:`RemoteServerClient` sends it and
+#: decodes the answer, :class:`ShardedServerClient` sends it to the owner of
+#: ``route(...)``, and :class:`RequestPipeline` defers it.
+_ENGINE_OPS: Dict[str, _EngineOp] = {
+    "ping": _EngineOp(lambda: Request("ping"), lambda r: bool(r.result.get("pong"))),
+    "create_stream": _EngineOp(
+        lambda metadata: Request("create_stream", {}, [_metadata_to_json(metadata)]),
+        _no_result,
+        lambda metadata: metadata.uuid,
+    ),
+    "delete_stream": _EngineOp(
+        lambda stream_uuid: Request("delete_stream", {"uuid": stream_uuid}), _no_result, _stream_arg
+    ),
+    "stream_metadata": _EngineOp(
+        lambda stream_uuid: Request("stream_metadata", {"uuid": stream_uuid}),
+        _decode_metadata,
+        _stream_arg,
+    ),
+    "stream_head": _EngineOp(
+        lambda stream_uuid: Request("stream_head", {"uuid": stream_uuid}),
+        _int_result("head"),
+        _stream_arg,
+    ),
+    "insert_chunk": _EngineOp(
+        lambda chunk: Request("insert_chunk", {}, [encode_encrypted_chunk(chunk)]),
+        _int_result("window_index"),
+        lambda chunk: chunk.stream_uuid,
+    ),
+    "insert_chunks": _EngineOp(
+        _insert_chunks_request, _int_result("window_index"), lambda chunks: chunks[0].stream_uuid
+    ),
+    "get_range": _EngineOp(
+        lambda stream_uuid, time_range: Request("get_range", _range_args(stream_uuid, time_range)),
+        # decode_encrypted_chunk copies each payload out of the frame.
+        lambda r: [decode_encrypted_chunk(blob) for blob in r.attachments],
+        _stream_arg,
+    ),
+    "delete_range": _EngineOp(
+        lambda stream_uuid, time_range: Request("delete_range", _range_args(stream_uuid, time_range)),
+        _int_result("deleted"),
+        _stream_arg,
+    ),
+    "stat_range": _EngineOp(
+        lambda stream_uuid, time_range: Request("stat_range", _range_args(stream_uuid, time_range)),
+        lambda r: StatQueryResult.from_json(r.result["stat"]),
+        _stream_arg,
+    ),
+    "stat_range_multi": _EngineOp(
+        _stat_range_multi_request,
+        lambda r: MultiStreamAggregate.from_json(r.result),
+        lambda stream_uuids, *_args, **_kwargs: stream_uuids[0],
+    ),
+    "stat_series": _EngineOp(
+        lambda stream_uuid, time_range, granularity_windows: Request(
+            "stat_series",
+            {**_range_args(stream_uuid, time_range), "granularity_windows": granularity_windows},
+        ),
+        lambda r: [StatQueryResult.from_json(item) for item in r.result["series"]],
+        _stream_arg,
+    ),
+    "rollup_stream": _EngineOp(
+        lambda stream_uuid, resolution_windows, before_time=None: Request(
+            "rollup_stream",
+            {
+                "uuid": stream_uuid,
+                "resolution_windows": resolution_windows,
+                "before_time": before_time,
+            },
+        ),
+        _int_result("deleted"),
+        _stream_arg,
+    ),
+    "put_grant": _EngineOp(
+        lambda stream_uuid, principal_id, sealed_token: Request(
+            "put_grant", {"uuid": stream_uuid, "principal_id": principal_id}, [sealed_token]
+        ),
+        _int_result("grant_id"),
+        _stream_arg,
+    ),
+    "put_grants": _EngineOp(
+        _put_grants_request,
+        lambda r: [int(grant_id) for grant_id in r.result["grant_ids"]],
+        lambda grants: grants[0][0],
+    ),
+    "fetch_grants": _EngineOp(
+        lambda stream_uuid, principal_id: Request(
+            "fetch_grants", {"uuid": stream_uuid, "principal_id": principal_id}
+        ),
+        lambda r: [retain(blob) for blob in r.attachments],
+        _stream_arg,
+    ),
+    "put_envelopes": _EngineOp(_put_envelopes_request, _no_result, _stream_arg),
+    "fetch_envelopes": _EngineOp(
+        _fetch_envelopes_request,
+        lambda r: dict(zip(r.result["windows"], (retain(blob) for blob in r.attachments))),
+        _stream_arg,
+    ),
+}
+
+
+def _engine_surface(returns: Optional[str] = None) -> Callable[[type], type]:
+    """Class decorator: one method per table entry the class does not define.
+
+    Each method has :class:`~repro.server.engine.ServerEngine`'s name,
+    signature and docstring (``returns`` replaces the return annotation) and
+    passes its arguments to ``self._invoke(op, args, kwargs)``.
+    """
+
+    def method_for(cls: type, name: str, op: _EngineOp) -> Callable[..., Any]:
+        def method(self: Any, *args: Any, **kwargs: Any) -> Any:
+            return self._invoke(op, args, kwargs)
+
+        engine_method = getattr(ServerEngine, name)
+        signature = inspect.signature(engine_method)
+        method.__signature__ = (  # type: ignore[attr-defined]
+            signature if returns is None else signature.replace(return_annotation=returns)
+        )
+        method.__name__ = name
+        method.__qualname__ = f"{cls.__name__}.{name}"
+        method.__doc__ = engine_method.__doc__
+        return method
+
+    def decorate(cls: type) -> type:
+        for name, op in _ENGINE_OPS.items():
+            if name not in vars(cls):
+                setattr(cls, name, method_for(cls, name, op))
+        return cls
+
+    return decorate
+
+
+class _ClientTokenStore:
+    """The token-store interface a grant manager uses, over a wire client.
+
+    Maps each call onto the owning client's grant/envelope operation, so
+    grant traffic takes the same path as every other engine call.
+    """
+
+    def __init__(self, client: Any) -> None:
+        self._client = client
+
+    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
+        return self._client.put_grant(stream_uuid, principal_id, sealed_token)
+
+    def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
+        return self._client.put_grants(grants)
+
+    def grants_for(self, stream_uuid: str, principal_id: str) -> List[bytes]:
+        return self._client.fetch_grants(stream_uuid, principal_id)
+
+    def put_envelopes(
+        self, stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
+    ) -> None:
+        self._client.put_envelopes(stream_uuid, resolution_chunks, envelopes)
+
+    def envelopes_for_range(
+        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
+    ) -> Dict[int, bytes]:
+        return self._client.fetch_envelopes(
+            stream_uuid, resolution_chunks, window_start, window_end
+        )
+
+
+@_engine_surface(returns="PipelineResult")
 class RequestPipeline:
     """Records ServerEngine-shaped calls; one round trip flushes them all.
 
@@ -255,10 +524,11 @@ class RequestPipeline:
             grants = batch.fetch_grants(uuid, "bob")
         print([handle.result() for handle in heads])
 
-    Every method returns a :class:`PipelineResult`; results become readable
-    after the ``with`` block (or an explicit :meth:`flush`).  A failed
-    request raises its remote error from ``result()`` without affecting the
-    other requests in the batch — mid-batch errors stay per-request.
+    Every engine method returns a :class:`PipelineResult`; results become
+    readable after the ``with`` block (or an explicit :meth:`flush`).  A
+    failed request raises its remote error from ``result()`` without
+    affecting the other requests in the batch — mid-batch errors stay
+    per-request.
     """
 
     def __init__(self, client: "RemoteServerClient") -> None:
@@ -297,167 +567,14 @@ class RequestPipeline:
         for handle, response in zip(handles, responses):
             handle._resolve(response)
 
-    def _defer(self, request: Request, decoder: Callable[[Response], Any]) -> PipelineResult:
-        handle = PipelineResult(decoder)
-        self._requests.append(request)
+    def _invoke(self, op: _EngineOp, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> PipelineResult:
+        handle = PipelineResult(op.decode)
+        self._requests.append(op.build(*args, **kwargs))
         self._handles.append(handle)
         return handle
 
-    # -- deferred ServerEngine-shaped calls ---------------------------------------
 
-    def ping(self) -> PipelineResult:
-        return self._defer(Request("ping"), lambda r: bool(r.result.get("pong")))
-
-    def stream_head(self, stream_uuid: str) -> PipelineResult:
-        return self._defer(
-            Request("stream_head", {"uuid": stream_uuid}), lambda r: int(r.result["head"])
-        )
-
-    def stream_metadata(self, stream_uuid: str) -> PipelineResult:
-        return self._defer(
-            Request("stream_metadata", {"uuid": stream_uuid}),
-            lambda r: _metadata_from_json(r.attachments[0]),
-        )
-
-    def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> PipelineResult:
-        if not chunks:
-            raise ProtocolError("insert_chunks requires at least one chunk")
-        return self._defer(
-            Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks]),
-            lambda r: int(r.result["window_index"]),
-        )
-
-    def get_range(self, stream_uuid: str, time_range: TimeRange) -> PipelineResult:
-        return self._defer(
-            Request(
-                "get_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-            lambda r: [decode_encrypted_chunk(blob) for blob in r.attachments],
-        )
-
-    def stat_range(self, stream_uuid: str, time_range: TimeRange) -> PipelineResult:
-        return self._defer(
-            Request(
-                "stat_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-            lambda r: RemoteServerClient._stat_from_json(r.result["stat"]),
-        )
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> PipelineResult:
-        return self._defer(
-            Request(
-                "put_grant", {"uuid": stream_uuid, "principal_id": principal_id}, [sealed_token]
-            ),
-            lambda r: int(r.result["grant_id"]),
-        )
-
-    def fetch_grants(self, stream_uuid: str, principal_id: str) -> PipelineResult:
-        return self._defer(
-            Request("fetch_grants", {"uuid": stream_uuid, "principal_id": principal_id}),
-            lambda r: [retain(blob) for blob in r.attachments],
-        )
-
-    def fetch_envelopes(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> PipelineResult:
-        return self._defer(
-            Request(
-                "fetch_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "window_start": window_start,
-                    "window_end": window_end,
-                },
-            ),
-            lambda r: dict(zip(r.result["windows"], (retain(blob) for blob in r.attachments))),
-        )
-
-
-class _RemoteTokenStore:
-    """Token-store facade forwarding grant/envelope traffic over the wire."""
-
-    def __init__(self, client: "RemoteServerClient") -> None:
-        self._client = client
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        response = self._client._call(
-            Request(
-                "put_grant",
-                {"uuid": stream_uuid, "principal_id": principal_id},
-                [sealed_token],
-            )
-        )
-        return int(response.result["grant_id"])
-
-    def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
-        """A cohort grant burst: one wire round trip, one storage ``multi_put``.
-
-        Falls back to per-grant ``put_grant`` calls against dispatchers that
-        predate the ``put_grants`` operation (detected via negotiation).
-        """
-        if not grants:
-            return []
-        if not self._client.supports_operation("put_grants"):
-            return [self.put_grant(*grant) for grant in grants]
-        response = self._client._call(
-            Request(
-                "put_grants",
-                {
-                    "grants": [
-                        {"uuid": stream_uuid, "principal_id": principal_id}
-                        for stream_uuid, principal_id, _sealed in grants
-                    ]
-                },
-                [sealed for _uuid, _principal, sealed in grants],
-            )
-        )
-        return [int(grant_id) for grant_id in response.result["grant_ids"]]
-
-    def grants_for(self, stream_uuid: str, principal_id: str) -> List[bytes]:
-        response = self._client._call(
-            Request("fetch_grants", {"uuid": stream_uuid, "principal_id": principal_id})
-        )
-        # Copy-on-retain: zero-copy decode hands out views over the frame
-        # buffer; sealed tokens outlive the response, so own the bytes here.
-        return [retain(blob) for blob in response.attachments]
-
-    def put_envelopes(
-        self, stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
-    ) -> None:
-        windows = sorted(envelopes)
-        self._client._call(
-            Request(
-                "put_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "windows": windows,
-                },
-                [envelopes[window] for window in windows],
-            )
-        )
-
-    def envelopes_for_range(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> Dict[int, bytes]:
-        response = self._client._call(
-            Request(
-                "fetch_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "window_start": window_start,
-                    "window_end": window_end,
-                },
-            )
-        )
-        windows = response.result["windows"]
-        return dict(zip(windows, (retain(blob) for blob in response.attachments)))
-
-
+@_engine_surface()
 class RemoteServerClient:
     """A ServerEngine-compatible proxy over a TCP connection.
 
@@ -493,7 +610,7 @@ class RemoteServerClient:
         self._frames = FrameReader(self._socket)
         self._lock = threading.Lock()  # serialises frame writes
         self._closed = False
-        self.token_store = _RemoteTokenStore(self)
+        self.token_store = _ClientTokenStore(self)
         self.wire_stats = WireStats()
         #: Distributed tracing (off by default — with it off the request path
         #: never touches a clock or builds a span).  When on, every call gets
@@ -874,162 +991,10 @@ class RemoteServerClient:
         """A deferred-call context; everything inside flushes as one batch."""
         return RequestPipeline(self)
 
-    def ping(self) -> bool:
-        return bool(self._call(Request("ping")).result.get("pong"))
+    # -- ServerEngine-compatible surface: one method per _ENGINE_OPS entry ------------
 
-    # -- ServerEngine-compatible surface ----------------------------------------------
-
-    def create_stream(self, metadata: StreamMetadata) -> None:
-        self._call(Request("create_stream", {}, [_metadata_to_json(metadata)]))
-
-    def delete_stream(self, stream_uuid: str) -> None:
-        self._call(Request("delete_stream", {"uuid": stream_uuid}))
-
-    def stream_metadata(self, stream_uuid: str) -> StreamMetadata:
-        response = self._call(Request("stream_metadata", {"uuid": stream_uuid}))
-        if not response.attachments:
-            raise ProtocolError("stream_metadata response missing attachment")
-        return _metadata_from_json(response.attachments[0])
-
-    def stream_head(self, stream_uuid: str) -> int:
-        return int(self._call(Request("stream_head", {"uuid": stream_uuid})).result["head"])
-
-    def rollup_stream(
-        self, stream_uuid: str, resolution_windows: int, before_time: Optional[int] = None
-    ) -> int:
-        response = self._call(
-            Request(
-                "rollup_stream",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_windows": resolution_windows,
-                    "before_time": before_time,
-                },
-            )
-        )
-        return int(response.result["deleted"])
-
-    def insert_chunk(self, chunk: EncryptedChunk) -> int:
-        response = self._call(Request("insert_chunk", {}, [encode_encrypted_chunk(chunk)]))
-        return int(response.result["window_index"])
-
-    def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> int:
-        """Bulk ingest over one round trip; returns the first appended window index.
-
-        Dispatchers that predate the ``insert_chunks`` wire operation (not
-        advertised by ``hello``, or rejected at dispatch) get the batch as
-        per-chunk ``insert_chunk`` calls instead; the downgrade is remembered
-        so later batches skip the failed round trip.
-        """
-        if not chunks:
-            raise ProtocolError("insert_chunks requires at least one chunk")
-        if not self.supports_operation("insert_chunks"):
-            return self._insert_chunks_one_by_one(chunks)
-        try:
-            response = self._call(
-                Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks])
-            )
-        except TimeCryptError as exc:
-            # Remote errors re-raise by class *name*, which may surface as the
-            # base class — match on the message, not the type.  A server
-            # without the op rejects it in Request.decode ("unknown
-            # operation", messages.py) before dispatch ("unsupported
-            # operation") could ever see it; accept both spellings.
-            message = str(exc)
-            if "unsupported operation" not in message and "unknown operation" not in message:
-                raise
-            self._server_operations = self._server_operations - {"insert_chunks"}
-            return self._insert_chunks_one_by_one(chunks)
-        return int(response.result["window_index"])
-
-    def _insert_chunks_one_by_one(self, chunks: Sequence[EncryptedChunk]) -> int:
-        return min(self.insert_chunk(chunk) for chunk in chunks)
-
-    def get_range(self, stream_uuid: str, time_range: TimeRange) -> List[EncryptedChunk]:
-        response = self._call(
-            Request("get_range", {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end})
-        )
-        return [decode_encrypted_chunk(blob) for blob in response.attachments]
-
-    def delete_range(self, stream_uuid: str, time_range: TimeRange) -> int:
-        response = self._call(
-            Request(
-                "delete_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            )
-        )
-        return int(response.result["deleted"])
-
-    @staticmethod
-    def _stat_from_json(payload: Dict) -> StatQueryResult:
-        return StatQueryResult(
-            stream_uuid=payload["stream_uuid"],
-            window_start=payload["window_start"],
-            window_end=payload["window_end"],
-            cells=tuple(
-                HEACCiphertext(value=cell["value"], window_start=cell["start"], window_end=cell["end"])
-                for cell in payload["cells"]
-            ),
-            component_names=tuple(payload["component_names"]),
-            num_index_nodes=payload["num_index_nodes"],
-        )
-
-    def stat_range(self, stream_uuid: str, time_range: TimeRange) -> StatQueryResult:
-        response = self._call(
-            Request("stat_range", {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end})
-        )
-        return self._stat_from_json(response.result["stat"])
-
-    def stat_series(
-        self, stream_uuid: str, time_range: TimeRange, granularity_windows: int
-    ) -> List[StatQueryResult]:
-        response = self._call(
-            Request(
-                "stat_series",
-                {
-                    "uuid": stream_uuid,
-                    "start": time_range.start,
-                    "end": time_range.end,
-                    "granularity_windows": granularity_windows,
-                },
-            )
-        )
-        return [self._stat_from_json(item) for item in response.result["series"]]
-
-    def stat_range_multi(
-        self, stream_uuids: Sequence[str], time_range: TimeRange
-    ) -> MultiStreamAggregate:
-        response = self._call(
-            Request(
-                "stat_range_multi",
-                {"uuids": list(stream_uuids), "start": time_range.start, "end": time_range.end},
-            )
-        )
-        return MultiStreamAggregate(
-            values=tuple(response.result["values"]),
-            component_names=tuple(response.result["component_names"]),
-            per_stream_intervals=tuple(
-                (item[0], item[1], item[2]) for item in response.result["per_stream_intervals"]
-            ),
-        )
-
-    # -- grant / envelope passthrough (ServerEngine-compatible) -----------------------------
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        return self.token_store.put_grant(stream_uuid, principal_id, sealed_token)
-
-    def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
-        return self.token_store.put_grants(grants)
-
-    def fetch_grants(self, stream_uuid: str, principal_id: str) -> List[bytes]:
-        return self.token_store.grants_for(stream_uuid, principal_id)
-
-    def fetch_envelopes(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> Dict[int, bytes]:
-        return self.token_store.envelopes_for_range(
-            stream_uuid, resolution_chunks, window_start, window_end
-        )
+    def _invoke(self, op: _EngineOp, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Any:
+        return op.decode(self._call(op.build(*args, **kwargs)))
 
 
 Address = Tuple[str, int]
@@ -1125,46 +1090,7 @@ class ConnectionCache:
             client.close()
 
 
-class _ShardedTokenStore:
-    """Token-store facade routing grant/envelope traffic to the owning shard."""
-
-    def __init__(self, client: "ShardedServerClient") -> None:
-        self._client = client
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        return self._client.put_grant(stream_uuid, principal_id, sealed_token)
-
-    def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
-        return self._client.put_grants(grants)
-
-    def grants_for(self, stream_uuid: str, principal_id: str) -> List[bytes]:
-        return self._client.fetch_grants(stream_uuid, principal_id)
-
-    def put_envelopes(
-        self, stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
-    ) -> None:
-        windows = sorted(envelopes)
-        self._client._call(
-            stream_uuid,
-            Request(
-                "put_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "windows": windows,
-                },
-                [envelopes[window] for window in windows],
-            ),
-        )
-
-    def envelopes_for_range(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> Dict[int, bytes]:
-        return self._client.fetch_envelopes(
-            stream_uuid, resolution_chunks, window_start, window_end
-        )
-
-
+@_engine_surface()
 class ShardedServerClient:
     """A routing-aware client for the sharded engine tier.
 
@@ -1198,7 +1124,7 @@ class ShardedServerClient:
             tracing=bool(tracing),
         )
         self._table = self._table_from_hello(self._connections.get(self._router_address))
-        self.token_store = _ShardedTokenStore(self)
+        self.token_store = _ClientTokenStore(self)
 
     # -- table management -------------------------------------------------------
 
@@ -1324,112 +1250,23 @@ class ShardedServerClient:
 
     def ping(self) -> bool:
         """Liveness of the tier: the router, or failing that any live shard."""
+        ping = _ENGINE_OPS["ping"]
         table = self._table
         addresses = [self._router_address] + [table.address_of(name) for name in table.engine_names]
         for address in addresses:
             try:
-                response = self._connections.call_many(address, [Request("ping")])[0]
+                response = self._connections.call_many(address, [ping.build()])[0]
             except (TimeCryptError, OSError):
                 continue
             if response.ok:
-                return bool(response.result.get("pong"))
+                return ping.decode(response)
         return False
 
-    # -- ServerEngine-compatible surface ----------------------------------------
+    # -- ServerEngine-compatible surface: _ENGINE_OPS, routed by stream ---------
 
-    def create_stream(self, metadata: StreamMetadata) -> None:
-        self._call(metadata.uuid, Request("create_stream", {}, [_metadata_to_json(metadata)]))
-
-    def delete_stream(self, stream_uuid: str) -> None:
-        self._call(stream_uuid, Request("delete_stream", {"uuid": stream_uuid}))
-
-    def stream_metadata(self, stream_uuid: str) -> StreamMetadata:
-        response = self._call(stream_uuid, Request("stream_metadata", {"uuid": stream_uuid}))
-        if not response.attachments:
-            raise ProtocolError("stream_metadata response missing attachment")
-        return _metadata_from_json(response.attachments[0])
-
-    def stream_head(self, stream_uuid: str) -> int:
-        response = self._call(stream_uuid, Request("stream_head", {"uuid": stream_uuid}))
-        return int(response.result["head"])
-
-    def rollup_stream(
-        self, stream_uuid: str, resolution_windows: int, before_time: Optional[int] = None
-    ) -> int:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "rollup_stream",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_windows": resolution_windows,
-                    "before_time": before_time,
-                },
-            ),
-        )
-        return int(response.result["deleted"])
-
-    def insert_chunk(self, chunk: EncryptedChunk) -> int:
-        response = self._call(
-            chunk.stream_uuid, Request("insert_chunk", {}, [encode_encrypted_chunk(chunk)])
-        )
-        return int(response.result["window_index"])
-
-    def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> int:
-        if not chunks:
-            raise ProtocolError("insert_chunks requires at least one chunk")
-        response = self._call(
-            chunks[0].stream_uuid,
-            Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks]),
-        )
-        return int(response.result["window_index"])
-
-    def get_range(self, stream_uuid: str, time_range: TimeRange) -> List[EncryptedChunk]:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "get_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-        )
-        return [decode_encrypted_chunk(blob) for blob in response.attachments]
-
-    def delete_range(self, stream_uuid: str, time_range: TimeRange) -> int:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "delete_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-        )
-        return int(response.result["deleted"])
-
-    def stat_range(self, stream_uuid: str, time_range: TimeRange) -> StatQueryResult:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "stat_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-        )
-        return RemoteServerClient._stat_from_json(response.result["stat"])
-
-    def stat_series(
-        self, stream_uuid: str, time_range: TimeRange, granularity_windows: int
-    ) -> List[StatQueryResult]:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "stat_series",
-                {
-                    "uuid": stream_uuid,
-                    "start": time_range.start,
-                    "end": time_range.end,
-                    "granularity_windows": granularity_windows,
-                },
-            ),
-        )
-        return [RemoteServerClient._stat_from_json(item) for item in response.result["series"]]
+    def _invoke(self, op: _EngineOp, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Any:
+        request = op.build(*args, **kwargs)
+        return op.decode(self._call(op.route(*args, **kwargs), request))
 
     def stat_range_multi(
         self, stream_uuids: Sequence[str], time_range: TimeRange
@@ -1439,40 +1276,12 @@ class ShardedServerClient:
         as a single engine would (:meth:`MultiStreamAggregate.combine` over
         results in request order)."""
         uuids = list(stream_uuids)
-        if not uuids:
-            raise QueryError("an inter-stream query needs at least one stream")
         table = self._table
-        owners = {table.owner_of(stream_uuid) for stream_uuid in uuids}
-        if len(owners) == 1:
-            response = self._call(
-                uuids[0],
-                Request(
-                    "stat_range_multi",
-                    {"uuids": uuids, "start": time_range.start, "end": time_range.end},
-                ),
-            )
-            return MultiStreamAggregate(
-                values=tuple(response.result["values"]),
-                component_names=tuple(response.result["component_names"]),
-                per_stream_intervals=tuple(
-                    (item[0], item[1], item[2])
-                    for item in response.result["per_stream_intervals"]
-                ),
-            )
+        if len({table.owner_of(stream_uuid) for stream_uuid in uuids}) <= 1:
+            return self._invoke(_ENGINE_OPS["stat_range_multi"], (uuids, time_range), {})
         return MultiStreamAggregate.combine(
             [self.stat_range(stream_uuid, time_range) for stream_uuid in uuids]
         )
-
-    # -- grant / envelope passthrough -------------------------------------------
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "put_grant", {"uuid": stream_uuid, "principal_id": principal_id}, [sealed_token]
-            ),
-        )
-        return int(response.result["grant_id"])
 
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
         """A grant burst, split into one ``put_grants`` per owning shard.
@@ -1482,8 +1291,6 @@ class ShardedServerClient:
         of its streams; that surfaces as the redirect error rather than a
         silent partial write.
         """
-        if not grants:
-            return []
         table = self._table
         slots_by_owner: Dict[str, List[int]] = {}
         for slot, (stream_uuid, _principal, _sealed) in enumerate(grants):
@@ -1492,43 +1299,6 @@ class ShardedServerClient:
         for owner in sorted(slots_by_owner):
             slots = slots_by_owner[owner]
             subset = [grants[slot] for slot in slots]
-            response = self._call(
-                subset[0][0],
-                Request(
-                    "put_grants",
-                    {
-                        "grants": [
-                            {"uuid": stream_uuid, "principal_id": principal_id}
-                            for stream_uuid, principal_id, _sealed in subset
-                        ]
-                    },
-                    [sealed for _uuid, _principal, sealed in subset],
-                ),
-            )
-            for slot, grant_id in zip(slots, response.result["grant_ids"]):
-                grant_ids[slot] = int(grant_id)
+            for slot, grant_id in zip(slots, self._invoke(_ENGINE_OPS["put_grants"], (subset,), {})):
+                grant_ids[slot] = grant_id
         return grant_ids
-
-    def fetch_grants(self, stream_uuid: str, principal_id: str) -> List[bytes]:
-        response = self._call(
-            stream_uuid,
-            Request("fetch_grants", {"uuid": stream_uuid, "principal_id": principal_id}),
-        )
-        return list(response.attachments)
-
-    def fetch_envelopes(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> Dict[int, bytes]:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "fetch_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "window_start": window_start,
-                    "window_end": window_end,
-                },
-            ),
-        )
-        return dict(zip(response.result["windows"], response.attachments))

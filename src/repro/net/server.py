@@ -333,25 +333,11 @@ class RequestDispatcher(WireDispatcher):
 
     # -- statistical queries ----------------------------------------------------------------
 
-    @staticmethod
-    def _result_to_json(result) -> Dict:
-        return {
-            "stream_uuid": result.stream_uuid,
-            "window_start": result.window_start,
-            "window_end": result.window_end,
-            "cells": [
-                {"value": cell.value, "start": cell.window_start, "end": cell.window_end}
-                for cell in result.cells
-            ],
-            "component_names": list(result.component_names),
-            "num_index_nodes": result.num_index_nodes,
-        }
-
     def _op_stat_range(self, request: Request) -> Response:
         result = self._engine.stat_range(
             request.args["uuid"], TimeRange(request.args["start"], request.args["end"])
         )
-        return Response.success({"stat": self._result_to_json(result)})
+        return Response.success({"stat": result.to_json()})
 
     def _op_stat_series(self, request: Request) -> Response:
         results = self._engine.stat_series(
@@ -359,19 +345,13 @@ class RequestDispatcher(WireDispatcher):
             TimeRange(request.args["start"], request.args["end"]),
             request.args["granularity_windows"],
         )
-        return Response.success({"series": [self._result_to_json(result) for result in results]})
+        return Response.success({"series": [result.to_json() for result in results]})
 
     def _op_stat_range_multi(self, request: Request) -> Response:
         aggregate = self._engine.stat_range_multi(
             request.args["uuids"], TimeRange(request.args["start"], request.args["end"])
         )
-        return Response.success(
-            {
-                "values": list(aggregate.values),
-                "component_names": list(aggregate.component_names),
-                "per_stream_intervals": [list(item) for item in aggregate.per_stream_intervals],
-            }
-        )
+        return Response.success(aggregate.to_json())
 
     # -- grants / envelopes --------------------------------------------------------------------
 
@@ -407,7 +387,7 @@ class RequestDispatcher(WireDispatcher):
         windows: List[int] = request.args["windows"]
         if len(windows) != len(request.attachments):
             raise ProtocolError("envelope windows and attachments must align")
-        self._engine.token_store.put_envelopes(
+        self._engine.put_envelopes(
             request.args["uuid"],
             request.args["resolution_chunks"],
             dict(zip(windows, (retain(blob) for blob in request.attachments))),

@@ -217,6 +217,10 @@ class ServerEngine:
         state.index.cache.clear()
         del self._streams[stream_uuid]
 
+    def ping(self) -> bool:
+        """Liveness probe, as on the wire clients; an in-process engine is always up."""
+        return True
+
     def stream_metadata(self, stream_uuid: str) -> StreamMetadata:
         return self._state(stream_uuid).metadata
 
@@ -494,6 +498,11 @@ class ServerEngine:
 
     def fetch_grants(self, stream_uuid: str, principal_id: str) -> List[bytes]:
         return self.token_store.grants_for(stream_uuid, principal_id)
+
+    def put_envelopes(
+        self, stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
+    ) -> None:
+        self.token_store.put_envelopes(stream_uuid, resolution_chunks, envelopes)
 
     def fetch_envelopes(
         self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int

@@ -17,7 +17,7 @@ Two result shapes exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.crypto.heac import HEACCiphertext, MODULUS
 from repro.exceptions import QueryError
@@ -44,6 +44,34 @@ class StatQueryResult:
         except ValueError:
             raise QueryError(f"result carries no component '{component_name}'") from None
         return self.cells[index]
+
+    def to_json(self) -> Dict[str, Any]:
+        """The wire form (``stat_range`` and ``stat_series`` results)."""
+        return {
+            "stream_uuid": self.stream_uuid,
+            "window_start": self.window_start,
+            "window_end": self.window_end,
+            "cells": [
+                {"value": cell.value, "start": cell.window_start, "end": cell.window_end}
+                for cell in self.cells
+            ],
+            "component_names": list(self.component_names),
+            "num_index_nodes": self.num_index_nodes,
+        }
+
+    @staticmethod
+    def from_json(payload: Dict[str, Any]) -> "StatQueryResult":
+        return StatQueryResult(
+            stream_uuid=payload["stream_uuid"],
+            window_start=payload["window_start"],
+            window_end=payload["window_end"],
+            cells=tuple(
+                HEACCiphertext(value=cell["value"], window_start=cell["start"], window_end=cell["end"])
+                for cell in payload["cells"]
+            ),
+            component_names=tuple(payload["component_names"]),
+            num_index_nodes=payload["num_index_nodes"],
+        )
 
 
 @dataclass(frozen=True)
@@ -77,6 +105,24 @@ class MultiStreamAggregate:
         )
         return MultiStreamAggregate(
             values=tuple(values), component_names=names, per_stream_intervals=intervals
+        )
+
+    def to_json(self) -> Dict[str, Any]:
+        """The wire form (the ``stat_range_multi`` result)."""
+        return {
+            "values": list(self.values),
+            "component_names": list(self.component_names),
+            "per_stream_intervals": [list(item) for item in self.per_stream_intervals],
+        }
+
+    @staticmethod
+    def from_json(payload: Dict[str, Any]) -> "MultiStreamAggregate":
+        return MultiStreamAggregate(
+            values=tuple(payload["values"]),
+            component_names=tuple(payload["component_names"]),
+            per_stream_intervals=tuple(
+                (item[0], item[1], item[2]) for item in payload["per_stream_intervals"]
+            ),
         )
 
 

@@ -36,7 +36,7 @@ from repro.net.messages import KV_OPERATIONS, OPERATIONS, Request, Response, Sha
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer, WireDispatcher
 from repro.obs.tracing import current_context, set_context
 from repro.server.engine import ServerEngine, _metadata_from_json
-from repro.server.query_executor import MultiStreamAggregate
+from repro.server.query_executor import MultiStreamAggregate, StatQueryResult
 from repro.timeseries.serialization import peek_chunk_stream_uuid
 
 logger = logging.getLogger(__name__)
@@ -263,9 +263,8 @@ class RouterDispatcher(WireDispatcher):
         )
 
     def supported_operations(self) -> List[str]:
-        # The proxy surface, not the handler list: a client negotiating
-        # against the router must not downgrade to per-chunk ingest just
-        # because the router itself has no _op_insert_chunks.
+        # The proxy surface, not the handler list: the router forwards
+        # insert_chunks and the rest without an _op_ handler of its own.
         return [op for op in OPERATIONS if op not in KV_OPERATIONS]
 
     def hello_extras(self) -> Dict:
@@ -406,15 +405,8 @@ class RouterDispatcher(WireDispatcher):
             response = per_stream[stream_uuid]
             if not response.ok:
                 return response
-            results.append(RemoteServerClient._stat_from_json(response.result["stat"]))
-        aggregate = MultiStreamAggregate.combine(results)
-        return Response.success(
-            {
-                "values": list(aggregate.values),
-                "component_names": list(aggregate.component_names),
-                "per_stream_intervals": [list(item) for item in aggregate.per_stream_intervals],
-            }
-        )
+            results.append(StatQueryResult.from_json(response.result["stat"]))
+        return Response.success(MultiStreamAggregate.combine(results).to_json())
 
     def _split_put_grants(self, request: Request, table: ShardRoutingTable) -> Response:
         """A cross-shard grant burst: one ``put_grants`` sub-batch per owner,
