@@ -19,12 +19,12 @@ key tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.access.resolution import ResolutionConsumerKeystream, ResolutionShare
 from repro.access.tokens import AccessToken
 from repro.crypto.gcm import aead_decrypt
-from repro.crypto.heac import HEACCipher, Keystream, MODULUS
+from repro.crypto.heac import HEACCipher, HEACWindowBatch, Keystream, MODULUS
 from repro.crypto.keytree import DerivedKeystream
 from repro.exceptions import AccessDeniedError, QueryError
 from repro.server.query_executor import MultiStreamAggregate, StatQueryResult
@@ -33,6 +33,10 @@ from repro.timeseries.digest import Digest, DigestConfig
 from repro.timeseries.point import DataPoint, decode_value
 from repro.timeseries.serialization import EncryptedChunk
 from repro.timeseries.stream import StreamConfig
+
+
+#: Where :meth:`ConsumerReader.decrypt_chunk` takes its payload key from.
+ChunkKeys = Union[HEACCipher, HEACWindowBatch]
 
 
 @dataclass
@@ -227,28 +231,57 @@ class ConsumerReader:
 
     # -- raw data ----------------------------------------------------------------------------------------
 
-    def decrypt_chunk(self, chunk: EncryptedChunk) -> List[DataPoint]:
-        """Decrypt and decompress one raw chunk payload (full resolution only)."""
-        if self._resolution_chunks != 1:
-            raise AccessDeniedError(
-                "raw data access requires a full-resolution grant"
-            )
-        if not (self._window_start <= chunk.window_index < self._window_end):
-            raise AccessDeniedError(
-                f"chunk window {chunk.window_index} outside granted "
-                f"[{self._window_start}, {self._window_end})"
-            )
-        payload_key = self._cipher.chunk_payload_key(chunk.window_index)
+    def decrypt_chunk(
+        self, chunk: EncryptedChunk, keys: Optional[ChunkKeys] = None
+    ) -> List[DataPoint]:
+        """Decrypt and decompress one raw chunk payload (full resolution only).
+
+        ``keys`` supplies the payload key; it defaults to the reader's cipher,
+        and :meth:`decrypt_range` passes one window batch for all its chunks.
+        """
+        self._check_chunk_access(chunk.window_index)
+        payload_key = (self._cipher if keys is None else keys).chunk_payload_key(chunk.window_index)
         aad = f"{self._stream_uuid}:{chunk.window_index}".encode("utf-8")
         compressed = aead_decrypt(payload_key, chunk.payload, aad)
         return get_codec(self._config.compression).decompress(compressed)
 
     def decrypt_range(self, chunks: Sequence[EncryptedChunk]) -> List[DataPoint]:
-        """Decrypt a sequence of chunks into one ordered point list."""
+        """Decrypt a sequence of chunks into one ordered point list.
+
+        The chunks must come in strictly increasing window order, as
+        :meth:`~repro.server.engine.ServerEngine.get_range` returns them, so
+        the points come out sorted by timestamp.  Every chunk's access is
+        checked before any key is derived; then one
+        :class:`~repro.crypto.heac.HEACWindowBatch` derives the boundary keys
+        of the whole span once, instead of three key-tree walks per chunk.
+        """
+        if not chunks:
+            return []
+        windows = [chunk.window_index for chunk in chunks]
+        for window in windows:
+            self._check_chunk_access(window)
+        for earlier, later in zip(windows, windows[1:]):
+            if later <= earlier:
+                raise QueryError(
+                    f"chunk window {later} follows window {earlier}; a range's "
+                    "windows must strictly increase"
+                )
+        keys = self._cipher.window_batch(windows[0], windows[-1] + 1)
         points: List[DataPoint] = []
         for chunk in chunks:
-            points.extend(self.decrypt_chunk(chunk))
+            points += self.decrypt_chunk(chunk, keys)
         return points
+
+    def _check_chunk_access(self, window_index: int) -> None:
+        if self._resolution_chunks != 1:
+            raise AccessDeniedError(
+                "raw data access requires a full-resolution grant"
+            )
+        if not (self._window_start <= window_index < self._window_end):
+            raise AccessDeniedError(
+                f"chunk window {window_index} outside granted "
+                f"[{self._window_start}, {self._window_end})"
+            )
 
     def decode_points(self, points: Sequence[DataPoint]) -> List[tuple]:
         """Convert fixed-point values back to measurement units."""

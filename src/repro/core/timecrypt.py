@@ -27,7 +27,9 @@ decrypts exactly what its grant allows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.access.policy import AccessPolicy, Resolution, open_ended
@@ -43,6 +45,14 @@ from repro.server.query_executor import MultiStreamAggregate
 from repro.timeseries.point import DataPoint, encode_value, point_columns
 from repro.timeseries.stream import StreamConfig, StreamMetadata
 from repro.util.timeutil import TimeRange
+
+_TIMESTAMP = attrgetter("timestamp")
+
+
+def _within(points: List[DataPoint], start: int, end: int) -> List[DataPoint]:
+    """The points of a timestamp-sorted list that fall in ``[start, end)``."""
+    low = bisect_left(points, start, key=_TIMESTAMP)
+    return points[low:bisect_left(points, end, low, key=_TIMESTAMP)]
 
 
 @dataclass
@@ -167,8 +177,7 @@ class TimeCrypt:
         """Retrieve and decrypt raw records in ``[start, end)`` (Table 1: GetRange)."""
         reader = self.owner_reader(uuid)
         chunks = self.server.get_range(uuid, TimeRange(start, end))
-        points = reader.decrypt_range(chunks)
-        return [point for point in points if start <= point.timestamp < end]
+        return _within(reader.decrypt_range(chunks), start, end)
 
     def get_stat_range(
         self, uuid: str | Sequence[str], start: int, end: int, operators: Sequence[str] = ("sum", "count", "mean")
@@ -537,8 +546,7 @@ class TimeCryptConsumer:
         """Retrieve and decrypt raw records (full-resolution grants only)."""
         reader = self.reader(stream_uuid)
         chunks = self.server.get_range(stream_uuid, TimeRange(start, end))
-        points = reader.decrypt_range(chunks)
-        return [point for point in points if start <= point.timestamp < end]
+        return _within(reader.decrypt_range(chunks), start, end)
 
     def _config_of(self, stream_uuid: str) -> StreamConfig:
         config = self._configs.get(stream_uuid)

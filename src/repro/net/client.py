@@ -292,7 +292,7 @@ def _no_result(_response: Response) -> None:
 
 def _insert_chunks_request(chunks: Sequence[EncryptedChunk]) -> Request:
     if not chunks:
-        raise ProtocolError("insert_chunks requires at least one chunk")
+        raise QueryError("cannot ingest an empty chunk batch")  # as ServerEngine does
     return Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks])
 
 
@@ -1272,16 +1272,47 @@ class ShardedServerClient:
         self, stream_uuids: Sequence[str], time_range: TimeRange
     ) -> MultiStreamAggregate:
         """Inter-stream query: forwarded whole when one shard owns every
-        stream, otherwise per-stream ``stat_range`` calls recombined exactly
-        as a single engine would (:meth:`MultiStreamAggregate.combine` over
-        results in request order)."""
+        stream, otherwise one pipelined batch of per-stream ``stat_range``
+        requests per owning shard, recombined exactly as a single engine
+        would (:meth:`MultiStreamAggregate.combine` over results in request
+        order)."""
         uuids = list(stream_uuids)
         table = self._table
-        if len({table.owner_of(stream_uuid) for stream_uuid in uuids}) <= 1:
+        by_owner: Dict[str, List[str]] = {}
+        for stream_uuid in uuids:
+            by_owner.setdefault(table.owner_of(stream_uuid), []).append(stream_uuid)
+        if len(by_owner) <= 1:
             return self._invoke(_ENGINE_OPS["stat_range_multi"], (uuids, time_range), {})
-        return MultiStreamAggregate.combine(
-            [self.stat_range(stream_uuid, time_range) for stream_uuid in uuids]
-        )
+        per_stream: Dict[str, StatQueryResult] = {}
+        for owner in sorted(by_owner):
+            owned = by_owner[owner]
+            per_stream.update(zip(owned, self._stat_ranges_on(table, owner, owned, time_range)))
+        return MultiStreamAggregate.combine([per_stream[stream_uuid] for stream_uuid in uuids])
+
+    def _stat_ranges_on(
+        self, table: ShardRoutingTable, owner: str, stream_uuids: List[str], time_range: TimeRange
+    ) -> List[StatQueryResult]:
+        """``stat_range`` of every stream one shard owns, in one round trip.
+
+        A stream the batch could not answer there — the shard is unreachable
+        or redirects it after a membership change — is retried alone through
+        :meth:`_routed`, which refreshes the table and follows the redirect.
+        """
+        op = _ENGINE_OPS["stat_range"]
+        requests = [op.build(stream_uuid, time_range) for stream_uuid in stream_uuids]
+        try:
+            responses = self._connections.call_many(table.address_of(owner), requests)
+        except (TransportError, OSError):
+            return [self.stat_range(stream_uuid, time_range) for stream_uuid in stream_uuids]
+        results = []
+        for stream_uuid, response in zip(stream_uuids, responses):
+            if not response.ok and response.error_type == "WrongShardError":
+                results.append(self.stat_range(stream_uuid, time_range))
+                continue
+            if not response.ok:
+                _raise_remote(response)
+            results.append(op.decode(response))
+        return results
 
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
         """A grant burst, split into one ``put_grants`` per owning shard.

@@ -17,23 +17,28 @@ fixed-point values.  Every transform works on a whole column: deltas and
 delta-of-deltas are pairwise list maps, and :func:`signed_varints` encodes a
 column through a lookup table, so no per-point Python runs on the write
 path.  :meth:`Codec.compress_points` adapts a point list onto the same path.
-Decompression returns :class:`DataPoint` lists.
+
+Decompression runs the same steps backwards, column at a time:
+:func:`signed_varint_column` decodes every varint of the payload in one
+pass, ``itertools.accumulate`` rebuilds timestamps and values from their
+deltas, and :func:`column_points` zips the two columns into the
+:class:`DataPoint` list a codec returns.
 """
 
 from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from operator import sub
 from typing import Dict, Iterable, List, Sequence, Tuple, Type
 
 from repro.exceptions import ChunkError, ConfigurationError
-from repro.timeseries.point import DataPoint, point_columns
+from repro.timeseries.point import DataPoint, column_points, point_columns
 from repro.util.encoding import (
-    decode_signed_varint,
     decode_varint,
     encode_varint,
+    signed_varint_column,
     signed_varints,
 )
 
@@ -53,12 +58,8 @@ def serialize_points(points: Iterable[DataPoint]) -> bytes:
 def deserialize_points(data: bytes) -> List[DataPoint]:
     """Inverse of :func:`serialize_points`."""
     count, pos = decode_varint(data, 0)
-    points: List[DataPoint] = []
-    for _ in range(count):
-        timestamp, pos = decode_signed_varint(data, pos)
-        value, pos = decode_signed_varint(data, pos)
-        points.append(DataPoint(timestamp=timestamp, value=value))
-    return points
+    fields, _end = signed_varint_column(data, pos, 2 * count)
+    return column_points(fields[0::2], fields[1::2])
 
 
 class Codec(ABC):
@@ -145,18 +146,13 @@ class DeltaCodec(Codec):
         count, pos = decode_varint(payload, 0)
         if count == 0:
             return []
-        timestamp, pos = decode_signed_varint(payload, pos)
-        value, pos = decode_signed_varint(payload, pos)
-        points = [DataPoint(timestamp=timestamp, value=value)]
-        previous_delta = 0
-        for _ in range(count - 1):
-            delta_of_delta, pos = decode_signed_varint(payload, pos)
-            value_delta, pos = decode_signed_varint(payload, pos)
-            previous_delta += delta_of_delta
-            timestamp += previous_delta
-            value += value_delta
-            points.append(DataPoint(timestamp=timestamp, value=value))
-        return points
+        fields, _end = signed_varint_column(payload, pos, 2 * count)
+        # fields = [t0, v0, dod1, dv1, dod2, dv2, ...]; the delta before the
+        # first point is zero, so the deltas are running sums of the dods.
+        deltas = accumulate(islice(fields, 2, None, 2))
+        timestamps = accumulate(deltas, initial=fields[0])
+        values = accumulate(islice(fields, 3, None, 2), initial=fields[1])
+        return column_points(timestamps, values)
 
 
 class DeltaZlibCodec(Codec):

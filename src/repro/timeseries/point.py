@@ -5,31 +5,51 @@ digests operate over integers modulo 2^64, so float-valued metrics (heart
 rate in bpm, CPU utilisation in percent, ...) are stored as fixed-point
 integers with a per-stream scale factor; the helpers here perform that
 conversion consistently on the write and read paths.
+
+A point is an immutable named tuple, so the read path can build a chunk's
+points straight from its decoded integer columns (:func:`column_points`)
+without running the public constructor's checks once per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from itertools import repeat
+from typing import Iterable, List, NamedTuple, Tuple, Union
 
 Number = Union[int, float]
 
 
-@dataclass(frozen=True, order=True)
-class DataPoint:
-    """A single measurement: integer timestamp plus fixed-point integer value."""
-
+class _PointFields(NamedTuple):
     timestamp: int
     value: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.timestamp, int):
+
+class DataPoint(_PointFields):
+    """A single measurement: integer timestamp plus fixed-point integer value.
+
+    Points compare, sort and hash as ``(timestamp, value)`` tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: int, value: int) -> "DataPoint":
+        if not isinstance(timestamp, int):
             raise TypeError("timestamps must be integers")
-        if not isinstance(self.value, int):
+        if not isinstance(value, int):
             raise TypeError(
                 "DataPoint values are fixed-point integers; use encode_value() "
                 "to convert floats"
             )
+        return tuple.__new__(cls, (timestamp, value))
+
+
+def column_points(timestamps: Iterable[int], values: Iterable[int]) -> List[DataPoint]:
+    """Zip integer columns into points, skipping the per-point type checks.
+
+    Only for columns already known to hold ints, such as a codec's decoded
+    output; anything else goes through :class:`DataPoint`.
+    """
+    return list(map(tuple.__new__, repeat(DataPoint), zip(timestamps, values)))
 
 
 def encode_value(value: Number, scale: int = 1) -> int:

@@ -4,15 +4,20 @@ These are the building blocks of the chunk serialization format and the
 wire protocol: unsigned LEB128 varints, zigzag encoding for signed deltas,
 and fixed-width big-endian integer conversions.
 
-Chunk payloads encode whole integer columns at once
-(:func:`signed_varints`): the varints of every zigzag value below
-``2^14`` — everything that fits in one or two bytes — are looked up in a
-table built at import, and only larger values go through
-:func:`encode_varint`.
+Chunk payloads encode and decode whole integer columns at once.
+:func:`signed_varints` looks up the varints of every zigzag value below
+``2^14`` — everything that fits in one or two bytes — in a table built at
+import, and only larger values go through :func:`encode_varint`.
+:func:`signed_varint_column` is its inverse: one regular expression splits
+the payload into varint tokens, a dict built from the same table maps every
+canonical one- and two-byte token to its signed value, and only longer or
+non-canonical tokens go through :func:`decode_signed_varint`.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import chain
 from typing import Iterable, List, Tuple
 
 _MASK_64 = (1 << 64) - 1
@@ -101,6 +106,52 @@ def signed_varints(values: Iterable[int]) -> List[bytes]:
     ]
 
 
+class _SignedVarintValues(dict):
+    """Canonical short varint → signed value; other varints are decoded on a miss."""
+
+    def __missing__(self, token: bytes) -> int:
+        return decode_signed_varint(token)[0]  # not stored: the table stays fixed
+
+
+#: Inverse of :data:`_VARINT_TABLE`: each canonical short varint → its signed value.
+_SIGNED_VARINT_VALUES = _SignedVarintValues(
+    zip(
+        _VARINT_TABLE,
+        # decode_zigzag of 0, 1, 2, 3, ... is 0, -1, 1, -2, ...
+        chain.from_iterable(zip(range(_VARINT_TABLE_SIZE // 2), range(-1, -_VARINT_TABLE_SIZE, -1))),
+    )
+)
+
+#: One varint: any continuation bytes, then the byte that ends it.
+_VARINT_TOKEN = re.compile(rb"[\x80-\xff]*[\x00-\x7f]")
+
+#: The longest varint :func:`decode_varint` accepts.
+_MAX_VARINT_BYTES = 10
+
+
+def signed_varint_column(data: bytes, offset: int, count: int) -> Tuple[List[int], int]:
+    """Decode ``count`` consecutive zigzag + varint integers from ``offset``.
+
+    Returns ``(values, next_offset)`` and raises what ``count`` calls of
+    :func:`decode_signed_varint` would: ``ValueError("truncated varint")``
+    when the data ends first, ``ValueError("varint too long")`` on a varint
+    past 10 bytes.  Bytes after the last value are not read.
+    """
+    if count <= 0:
+        return [], offset
+    # count varints of at most 10 bytes each fit in this window; a longer one
+    # leaves the column short.
+    window_end = min(len(data), offset + _MAX_VARINT_BYTES * count)
+    tokens = _VARINT_TOKEN.findall(data, offset, window_end)
+    del tokens[count:]
+    values = list(map(_SIGNED_VARINT_VALUES.__getitem__, tokens))
+    end = offset + len(b"".join(tokens))
+    while len(values) < count:  # over-long or unterminated: the scalar decoder raises
+        value, end = decode_signed_varint(data, end)
+        values.append(value)
+    return values, end
+
+
 def int_to_bytes(value: int, length: int) -> bytes:
     """Big-endian fixed-width encoding of a non-negative integer."""
     return value.to_bytes(length, "big")
@@ -120,11 +171,7 @@ def pack_varint_list(values: Iterable[int]) -> bytes:
 def unpack_varint_list(data: bytes, offset: int = 0) -> Tuple[List[int], int]:
     """Inverse of :func:`pack_varint_list`."""
     count, pos = decode_varint(data, offset)
-    values: List[int] = []
-    for _ in range(count):
-        value, pos = decode_signed_varint(data, pos)
-        values.append(value)
-    return values, pos
+    return signed_varint_column(data, pos, count)
 
 
 def to_u64(value: int) -> int:

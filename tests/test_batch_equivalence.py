@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import random
 import struct
+from collections import Counter
 
 import pytest
 
+from repro.client.reader import ConsumerReader
 from repro.core.plaintext import PlaintextTimeSeriesStore
 from repro.crypto.heac import HEACCipher, aggregate
 from repro.crypto.keytree import DerivedKeystream, KeyDerivationTree
 from repro.crypto.prf import available_prgs, get_prg
-from repro.exceptions import KeyDerivationError, QueryError
+from repro.exceptions import AccessDeniedError, KeyDerivationError, QueryError
 from repro.index.node import plaintext_combiner
 from repro.index.tree import AggregationIndex
 from repro.server.engine import ServerEngine
@@ -440,3 +442,87 @@ def test_get_stat_series_uses_batch_decryption(populated_stream):
     assert [(s.window_start, s.window_end) for s in batch_stats] == [
         (s.window_start, s.window_end) for s in scalar_stats
     ]
+
+
+# ---------------------------------------------------------------------------
+# Raw range reads: one window batch of payload keys per range
+# ---------------------------------------------------------------------------
+
+
+class _CountingKeystream:
+    """A key tree that counts how often each leaf is derived."""
+
+    def __init__(self, tree: KeyDerivationTree) -> None:
+        self._tree = tree
+        self.derived: Counter = Counter()
+
+    def leaf(self, index: int) -> bytes:
+        self.derived[index] += 1
+        return self._tree.leaf(index)
+
+    def leaf_range(self, start: int, end: int):
+        self.derived.update(range(start, end))
+        return self._tree.leaf_range(start, end)
+
+
+def _seven_chunk_range(small_config):
+    server, writer, tree = _owner_stack(bytes(range(16)), small_config, use_batch_sink=True)
+    writer.extend(list(range(0, 12_000, 50)), [(t // 50) % 97 for t in range(0, 12_000, 50)])
+    writer.flush()
+    chunks = server.get_range("stream-under-test", TimeRange(3_000, 10_000))
+    assert [chunk.window_index for chunk in chunks] == list(range(3, 10))
+    return chunks, tree
+
+
+def test_decrypt_range_derives_each_boundary_leaf_once(small_config):
+    chunks, tree = _seven_chunk_range(small_config)
+    keystream = _CountingKeystream(tree)
+    reader = ConsumerReader.for_owner("stream-under-test", small_config, keystream)
+    points = reader.decrypt_range(chunks)
+    assert keystream.derived == Counter(range(3, 11))  # 8 boundaries, once each
+    per_chunk = ConsumerReader.for_owner("stream-under-test", small_config, tree)
+    assert points == [point for chunk in chunks for point in per_chunk.decrypt_chunk(chunk)]
+    assert [point.timestamp for point in points] == list(range(3_000, 10_000, 50))
+
+
+@pytest.mark.parametrize("order", [[0, 2, 1], [0, 1, 1], [2, 1, 0]], ids=["swapped", "duplicate", "reversed"])
+def test_decrypt_range_requires_increasing_windows(small_config, order):
+    chunks, tree = _seven_chunk_range(small_config)
+    keystream = _CountingKeystream(tree)
+    reader = ConsumerReader.for_owner("stream-under-test", small_config, keystream)
+    with pytest.raises(QueryError):
+        reader.decrypt_range([chunks[position] for position in order])
+    assert not keystream.derived  # rejected before any key is derived
+
+
+def test_decrypt_range_checks_every_window_before_deriving_keys(small_config):
+    chunks, tree = _seven_chunk_range(small_config)
+    keystream = _CountingKeystream(tree)
+    reader = ConsumerReader(
+        "stream-under-test", small_config, keystream, window_start=3, window_end=9
+    )
+    with pytest.raises(AccessDeniedError):
+        reader.decrypt_range(chunks)  # the last chunk, window 9, is out of scope
+    assert not keystream.derived
+    assert reader.decrypt_range(chunks[:-1]) == [
+        point for chunk in chunks[:-1] for point in reader.decrypt_chunk(chunk)
+    ]
+
+
+def test_get_range_slices_like_the_point_filter(owner, small_config):
+    uuid = owner.create_stream(metric="slices", config=small_config)
+    # Three points per timestamp, so range bounds fall on runs of equal keys.
+    records = [(t, float(t % 7 + copy)) for t in range(0, 9_000, 250) for copy in range(3)]
+    owner.insert_records(uuid, records)
+    owner.flush(uuid)
+    everything = owner.get_range(uuid, 0, 9_000)
+    assert [(point.timestamp, point.value) for point in everything] == [
+        (t, round(v * small_config.value_scale)) for t, v in records
+    ]
+    rng = random.Random(7)
+    bounds = [(0, 9_000), (250, 250), (250, 500), (999, 1_001), (8_750, 20_000)]
+    bounds += [sorted(rng.randrange(0, 9_500) for _ in range(2)) for _ in range(20)]
+    for start, end in bounds:
+        assert owner.get_range(uuid, start, end) == [
+            point for point in everything if start <= point.timestamp < end
+        ], (start, end)

@@ -366,6 +366,56 @@ class TestShardedEquivalence:
         finally:
             _stop_all(router, shards)
 
+    def test_cross_shard_multi_query_is_one_round_trip_per_owner(self):
+        _store, router, shards = _sharded_deployment(2)
+        streams = _streams_spanning_owners(router.table, 6, 3)
+        reference_engine = ServerEngine()
+        _replay(reference_engine, streams)
+        full = TimeRange(0, 10 * CHUNK_INTERVAL)
+        uuids = [metadata.uuid for metadata, _chunks in streams]
+        try:
+            with ShardedServerClient(*router.address, timeout=10.0) as client:
+                _replay(client, streams)
+                assert len({client.routing_table.owner_of(uuid) for uuid in uuids}) == 2
+                before = client.wire_stats.round_trips
+                aggregate = client.stat_range_multi(uuids, full)
+                assert client.wire_stats.round_trips - before <= 2 < len(uuids)
+                assert aggregate == reference_engine.stat_range_multi(uuids, full)
+        finally:
+            _stop_all(router, shards)
+
+    def test_cross_shard_multi_query_follows_redirects(self):
+        """A stream moved by a membership change the client has not seen yet
+        is redirected out of its owner's batch and retried on the new owner."""
+        shared, router, shards = _sharded_deployment(3)
+        streams = _streams_spanning_owners(router.table, 6, 2)
+        full = TimeRange(0, 10 * CHUNK_INTERVAL)
+        uuids = [metadata.uuid for metadata, _chunks in streams]
+        extra = None
+        try:
+            with ShardedServerClient(*router.address, timeout=10.0) as client:
+                _replay(client, streams)
+                expected = client.stat_range_multi(uuids, full)
+                current = router.table
+                name = next(
+                    candidate
+                    for candidate in (f"engine-9{index}" for index in range(256))
+                    if any(
+                        current.with_engine(candidate, "127.0.0.1", 1).owner_of(uuid) == candidate
+                        for uuid in uuids
+                    )
+                )
+                engine = ServerEngine(store=shared, token_store=TokenStore(store=shared))
+                extra = EngineShardServer(name, engine, router.table_ref).start()
+                router.add_engine(name, *extra.address)
+                assert client.routing_epoch == 1
+                assert client.stat_range_multi(uuids, full) == expected
+                assert client.routing_epoch == 2
+        finally:
+            if extra is not None:
+                extra.stop()
+            _stop_all(router, shards)
+
 
 # ---------------------------------------------------------------------------
 # Scan offload: wire round-trip budgets

@@ -4,7 +4,8 @@ One op script runs against an in-process :class:`ServerEngine`, a
 :class:`RemoteServerClient` to a TCP server, a :class:`ShardedServerClient`
 over two engine shards (streams on both), and the client's ``pipeline()``.
 Every result must equal the engine's, down to the result types — fetched
-grants and envelopes are owned ``bytes``, never views over a frame buffer.
+grants and envelopes are owned ``bytes``, never views over a frame buffer —
+and every error must match the engine's in type and message.
 The wire methods must also keep the engine's call signatures, so any of
 these handles is a drop-in ``TimeCrypt(server=...)``.
 """
@@ -84,7 +85,7 @@ def _outcome(call, *args: Any, **kwargs: Any) -> Any:
     try:
         return call(*args, **kwargs)
     except TimeCryptError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def _run_script(handle: Any, streams) -> List[Tuple[str, Any]]:
@@ -97,6 +98,7 @@ def _run_script(handle: Any, streams) -> List[Tuple[str, Any]]:
         out.append(("insert_chunk", handle.insert_chunk(chunks[0])))
         out.append(("insert_chunks", handle.insert_chunks(chunks[1:])))
     out += [
+        ("insert_chunks of none", _outcome(handle.insert_chunks, [])),
         ("stream_head", [handle.stream_head(uuid) for uuid in (a, b, c)]),
         ("stream_metadata", handle.stream_metadata(b)),
         ("get_range", handle.get_range(a, TimeRange(CHUNK_INTERVAL, 4 * CHUNK_INTERVAL))),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,14 @@ from hypothesis import strategies as st
 from repro.exceptions import ChunkError, ConfigurationError, OutOfOrderError, QueryError
 from repro.timeseries.chunk import Chunk, ChunkBuilder, chunks_from_points
 from repro.timeseries.digest import Digest, DigestConfig, HistogramConfig, sum_digests
-from repro.timeseries.point import DataPoint, decode_value, encode_value, make_points, validate_sorted
+from repro.timeseries.point import (
+    DataPoint,
+    column_points,
+    decode_value,
+    encode_value,
+    make_points,
+    validate_sorted,
+)
 from repro.timeseries.stream import StreamConfig, StreamMetadata
 from repro.util.timeutil import TimeRange
 
@@ -23,8 +32,49 @@ class TestDataPoint:
         with pytest.raises(TypeError):
             DataPoint(timestamp="0", value=1)
 
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_rejects_non_integer_fields(self, bad):
+        with pytest.raises(TypeError):
+            DataPoint(bad, 1)
+        with pytest.raises(TypeError):
+            DataPoint(timestamp=1, value=bad)
+
     def test_ordering_by_timestamp(self):
         assert DataPoint(1, 100) < DataPoint(2, 0)
+        assert DataPoint(1, 5) < DataPoint(1, 6)  # ties break on the value
+        assert sorted([DataPoint(3, 0), DataPoint(1, 9), DataPoint(1, 2)]) == [
+            DataPoint(1, 2), DataPoint(1, 9), DataPoint(3, 0)
+        ]
+
+    def test_immutable(self):
+        point = DataPoint(1, 2)
+        with pytest.raises(AttributeError):
+            point.timestamp = 5
+        with pytest.raises(AttributeError):
+            point.value = 5
+        with pytest.raises(AttributeError):
+            point.label = "extra"  # slotted: no instance dict
+        assert point == DataPoint(1, 2)
+
+    def test_repr_and_fields(self):
+        point = DataPoint(timestamp=7, value=-3)
+        assert repr(point) == "DataPoint(timestamp=7, value=-3)"
+        assert (point.timestamp, point.value) == (7, -3)
+        assert hash(point) == hash(DataPoint(7, -3))
+
+    def test_pickle_round_trip(self):
+        points = [DataPoint(0, 0), DataPoint(1 << 70, -(1 << 70))]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(points, protocol))
+            assert restored == points
+            assert all(type(point) is DataPoint for point in restored)
+
+    def test_column_points_match_the_constructor(self):
+        timestamps, values = [0, 5, 5, 1 << 66], [-1, 0, 1 << 64, 7]
+        built = column_points(timestamps, values)
+        assert built == [DataPoint(t, v) for t, v in zip(timestamps, values)]
+        assert all(type(point) is DataPoint for point in built)
+        assert column_points([], []) == []
 
     def test_fixed_point_encoding(self):
         assert encode_value(36.62, scale=100) == 3662
